@@ -95,9 +95,12 @@ struct World {
 /// hash probe — the tentpole's O(instances) vs O(1) contrast.
 struct EqWorld {
   /// mode 0 = interpreted (per-instance AST substitution), 1 = compiled
-  /// matcher with per-tuple index probes, 2 = compiled matcher with
-  /// columnar batch probes + fast-path instance skipping.
-  EqWorld(int instances, int mode) : db(&clock) {
+  /// matcher with per-tuple index probes, 2 = the default options:
+  /// columnar batch probes + fast-path instance skipping, the type on
+  /// the exact tier, 3 = mode 2 with the exact tier off. `register_now`
+  /// false leaves the instances in the map only, for the first cycle to
+  /// register.
+  EqWorld(int instances, int mode, bool register_now = true) : db(&clock) {
     db.CreateTable(db::TableSchema("Car",
                                    {{"maker", db::ColumnType::kString},
                                     {"model", db::ColumnType::kString},
@@ -106,15 +109,18 @@ struct EqWorld {
     invalidator::InvalidatorOptions options;
     options.use_type_matcher = mode >= 1;
     options.batch_impact = mode >= 2;
+    options.exact_strategy = mode != 3;
     invalidator =
         std::make_unique<invalidator::Invalidator>(&db, &map, &clock,
                                                    options);
-    for (int i = 0; i < instances; ++i) {
-      map.Add(StrCat("SELECT model FROM Car WHERE maker = 'maker", i, "'"),
-              StrCat("shop/p", i, "?##"), "/r", 0);
-    }
-    invalidator->RunCycle().value();  // Register instances untimed.
+    for (int i = 0; i < instances; ++i) map.Add(Sql(i), Page(i), "/r", 0);
+    if (register_now) invalidator->RunCycle().value();
   }
+
+  static std::string Sql(int i) {
+    return StrCat("SELECT model FROM Car WHERE maker = 'maker", i, "'");
+  }
+  static std::string Page(int i) { return StrCat("shop/p", i, "?##"); }
 
   void AddUpdates(int n) {
     for (int i = 0; i < n; ++i) {
@@ -124,22 +130,33 @@ struct EqWorld {
     }
   }
 
+  /// One cycle with updates, untimed: what a timed loop must not charge
+  /// to its first iteration.
+  void WarmUp() {
+    AddUpdates(4);
+    invalidator->RunCycle().value();
+  }
+
   ManualClock clock;
   db::Database db;
   sniffer::QiUrlMap map;
   std::unique_ptr<invalidator::Invalidator> invalidator;
 };
 
-/// Full cycle cost as the instance count grows, across the three impact
-/// modes (range(1)): 0 interpreted per-instance AST substitution, 1 the
-/// compiled matcher probing bind-value indexes per tuple, 2 the columnar
-/// batch evaluator (whole-column probes + fast-path instance skipping).
+/// Full cycle cost as the instance count grows, across the impact modes
+/// (range(1)): 0 interpreted per-instance AST substitution, 1 the
+/// compiled matcher probing bind-value indexes per tuple, 2 the default
+/// options (columnar batch evaluator: whole-column probes + fast-path
+/// instance skipping, exact tier on), 3 mode 2 with the exact tier off.
 /// Updates match no instance, so instances stay registered and the
-/// measurement is steady-state. The 10^6-instance point runs only the
-/// matcher modes — the interpreted path is quadratic there.
+/// measurement is steady-state: one untimed cycle with updates runs
+/// first (BM_FirstCycleVsInstances times the cold one). The 10^6-instance
+/// point runs only the matcher modes — the interpreted path is quadratic
+/// there.
 void BM_CycleVsInstances(benchmark::State& state) {
   EqWorld world(static_cast<int>(state.range(0)),
                 static_cast<int>(state.range(1)));
+  world.WarmUp();
   for (auto _ : state) {
     state.PauseTiming();
     world.AddUpdates(4);
@@ -159,7 +176,68 @@ BENCHMARK(BM_CycleVsInstances)
     ->ArgsProduct({{100, 1000, 10000, 100000}, {0, 1, 2}})
     ->Args({1000000, 1})
     ->Args({1000000, 2})
+    ->Args({100000, 3})
+    ->Args({1000000, 3})
     ->ArgNames({"instances", "mode"})
+    ->Unit(benchmark::kMillisecond);
+
+/// The cold first cycle on default options, as its own point: it
+/// registers every instance from the QI/URL map (parse, template, bind
+/// index) and then analyzes 4 updates.
+void BM_FirstCycleVsInstances(benchmark::State& state) {
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto world = std::make_unique<EqWorld>(static_cast<int>(state.range(0)),
+                                           /*mode=*/2,
+                                           /*register_now=*/false);
+    world->AddUpdates(4);
+    state.ResumeTiming();
+    auto report = world->invalidator->RunCycle();
+    benchmark::DoNotOptimize(report);
+    state.PauseTiming();
+    world.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FirstCycleVsInstances)
+    ->RangeMultiplier(10)
+    ->Range(1000, 1000000)
+    ->ArgName("instances")
+    ->Unit(benchmark::kMillisecond);
+
+/// Steady-state cycles on default options while the cache evicts: before
+/// each cycle `range(1)` pages leave the map (their queries orphaned) and
+/// the pages evicted the cycle before come back (their queries register
+/// again). The cycle retires the orphans from the map's feed, so its cost
+/// follows the evictions, not the instance count.
+void BM_CycleWithEvictions(benchmark::State& state) {
+  const int instances = static_cast<int>(state.range(0));
+  const int evictions = static_cast<int>(state.range(1));
+  EqWorld world(instances, /*mode=*/2);
+  world.WarmUp();
+  int next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (int k = 0; k < evictions; ++k) {
+      int back = (next + instances - evictions + k) % instances;
+      int out = (next + k) % instances;
+      world.map.Add(EqWorld::Sql(back), EqWorld::Page(back), "/r", 0);
+      world.map.RemovePage(EqWorld::Page(out));
+    }
+    next = (next + evictions) % instances;
+    world.AddUpdates(4);
+    state.ResumeTiming();
+    auto report = world.invalidator->RunCycle();
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["instances"] =
+      static_cast<double>(world.invalidator->metadata().NumInstances());
+}
+BENCHMARK(BM_CycleWithEvictions)
+    ->ArgsProduct({{1000, 10000, 100000, 1000000}, {64}})
+    ->ArgNames({"instances", "evictions"})
     ->Unit(benchmark::kMillisecond);
 
 /// Residual-poll consolidation: `range(0)` join instances of one type,

@@ -69,11 +69,11 @@ void BindIndex::AddInstance(const TypeMatcher& matcher,
       posts.push_back(std::move(posting));
     };
     auto always_num = [&] {
-      index.always_num.push_back(id);
+      index.always_num.insert(id);
       post(Posting::Container::kAlwaysNum, 0, "");
     };
     auto always_str = [&] {
-      index.always_str.push_back(id);
+      index.always_str.insert(id);
       post(Posting::Container::kAlwaysStr, 0, "");
     };
 
@@ -217,10 +217,10 @@ void BindIndex::RemoveInstance(uint64_t instance_id) {
         ErasePairEntry(index.between_str, posting.str_key, instance_id);
         break;
       case Posting::Container::kAlwaysNum:
-        std::erase(index.always_num, instance_id);
+        index.always_num.erase(instance_id);
         break;
       case Posting::Container::kAlwaysStr:
-        std::erase(index.always_str, instance_id);
+        index.always_str.erase(instance_id);
         break;
     }
   }

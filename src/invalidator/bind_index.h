@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -112,9 +113,10 @@ class BindIndex {
     // BETWEEN: low -> (high, id), both bounds same-class.
     std::multimap<double, std::pair<double, uint64_t>> between_num;
     std::multimap<std::string, std::pair<std::string, uint64_t>> between_str;
-    // Instances no probe of the given class can exclude.
-    std::vector<uint64_t> always_num;
-    std::vector<uint64_t> always_str;
+    // Instances no probe of the given class can exclude (ascending ids,
+    // the registration order; a set so retirement stays O(log n)).
+    std::set<uint64_t> always_num;
+    std::set<uint64_t> always_str;
   };
 
   /// Reverse record of one container entry, for O(log + k) removal.

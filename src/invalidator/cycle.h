@@ -153,12 +153,11 @@ struct StageEnv {
   /// scan skip ReadSince when the row set is untouched. May be null
   /// (always scan); nullopt forces the next scan (e.g. after Restore).
   std::optional<uint64_t>* last_map_epoch = nullptr;
-  /// QiUrlMap removals_epoch() snapshot from the last retire sweep; an
-  /// unchanged epoch proves no instance lost its last page since, so
-  /// the per-instance page-count sweep is skipped. May be null (always
-  /// sweep); nullopt forces the next sweep (e.g. after Restore, when
-  /// recovered instances may reference pages a rebuilt map never had).
-  std::optional<uint64_t>* last_retire_epoch = nullptr;
+  /// True when the next retire step must check every live instance, not
+  /// just the QI/URL map's orphan feed: after Restore, recovered
+  /// instances may reference pages a rebuilt map never had. Cleared by
+  /// the sweep. May be null (every cycle sweeps).
+  bool* retire_sweep_due = nullptr;
   /// Executes one polling query against the configured target. Must be
   /// safe to call from pool workers.
   std::function<Result<db::QueryResult>(const std::string&)> execute_poll;

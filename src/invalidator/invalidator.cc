@@ -649,7 +649,7 @@ Status Invalidator::Restore(const std::string& checkpoint) {
   }
   last_update_seq_ = update_seq;
   last_map_epoch_.reset();  // Force the next cycle's map scan.
-  last_retire_epoch_.reset();  // ... and its retire sweep.
+  retire_sweep_due_ = true;  // ... and its retire sweep.
   return Status::OK();
 }
 
@@ -814,7 +814,7 @@ Status Invalidator::ApplyDurableDelta(const std::string& payload) {
   plane_.SetMapCursors(cursors);
   last_update_seq_ = update_seq;
   last_map_epoch_.reset();
-  last_retire_epoch_.reset();
+  retire_sweep_due_ = true;
   return Status::OK();
 }
 
@@ -879,7 +879,7 @@ StageEnv Invalidator::MakeStageEnv() {
   env.cycle_matcher_stats = &cycle_matcher_stats_;
   env.last_update_seq = &last_update_seq_;
   env.last_map_epoch = &last_map_epoch_;
-  env.last_retire_epoch = &last_retire_epoch_;
+  env.retire_sweep_due = &retire_sweep_due_;
   env.execute_poll = [this](const std::string& poll_sql) {
     return ExecutePoll(poll_sql);
   };

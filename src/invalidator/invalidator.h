@@ -263,9 +263,12 @@ class Invalidator {
   uint64_t last_update_seq_ = 0;
   // QiUrlMap epoch at the last ingest scan (nullopt = must scan).
   std::optional<uint64_t> last_map_epoch_;
-  // QiUrlMap removals epoch at the last retire sweep (nullopt = must
-  // sweep).
-  std::optional<uint64_t> last_retire_epoch_;
+  // Set by Restore and ApplyDurableDelta: the next cycle's retire step
+  // sweeps every instance.
+  // A fresh invalidator needs no sweep: an instance the map scan
+  // registers had a page, and its last page leaving feeds the map's
+  // orphan feed.
+  bool retire_sweep_due_ = false;
   Micros last_cycle_duration_ = 0;
   InvalidatorStats stats_;
 

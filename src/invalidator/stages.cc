@@ -99,6 +99,34 @@ Status IngestStage::Run(CycleContext& ctx) {
     if (max_id > 0) env_.plane->AdvanceMapCursors(max_id);
   }
 
+  // ---- Retire instances whose pages all left the cache. ----
+  // Every cycle, updates or not, so the map's orphan feed stays drained.
+  // A query can only lose its last page through RemovePage, which feeds
+  // it here; it may have gained a page again since, so the count is
+  // re-checked. A full sweep covers what the feed cannot: instances
+  // recovered by Restore (they may reference pages a rebuilt map never
+  // had) and a feed that overflowed.
+  sniffer::QiUrlMap::Orphans orphans = env_.map->TakeOrphans();
+  std::vector<std::string> retired;
+  const auto check = [&](const std::string& instance_sql) {
+    if (env_.map->NumPagesForQuery(instance_sql) == 0) {
+      retired.push_back(instance_sql);
+    }
+  };
+  if (env_.retire_sweep_due == nullptr || *env_.retire_sweep_due ||
+      !orphans.complete) {
+    env_.plane->ForEachInstance(
+        [&](const QueryType&, const QueryInstance& instance) {
+          check(instance.sql);
+        });
+    if (env_.retire_sweep_due != nullptr) *env_.retire_sweep_due = false;
+  } else {
+    for (const std::string& instance_sql : orphans.queries) check(instance_sql);
+  }
+  for (const std::string& instance_sql : retired) {
+    env_.plane->RetireInstance(instance_sql);
+  }
+
   // ---- Invalidation module: pull the update log. ----
   std::vector<db::UpdateRecord> records =
       env_.database->update_log().ReadSince(*env_.last_update_seq);
@@ -203,11 +231,13 @@ Status ImpactStage::Run(CycleContext& ctx) {
   const bool batch = plane.strategy().compiled && plane.strategy().batch &&
                      ctx.batch_columns.size() == ctx.merged.size();
 
-  // Exact-tier types (DESIGN.md §16): decided per instance from the
-  // delta's row images — no index probes, no impact fan-out, no polls.
-  // Snapshotted up front because the ForEach* callbacks below must not
-  // re-enter the plane. Empty when the policy's rung revoked the
-  // exemption (kEmergency never reaches this point anyway).
+  // Exact-tier types (DESIGN.md §16): candidates come from the same
+  // bind-index probes and partition as every compiled type; only the
+  // verdict differs — decided from the delta's row images, with no
+  // impact analysis and no polls. Snapshotted up front because the
+  // ForEach* callbacks below must not re-enter the plane. Empty when the
+  // policy's rung revoked the exemption (kEmergency never reaches this
+  // point anyway).
   std::set<uint64_t> exact_types;
   if (ctx.policy.exact_exempt) {
     for (const auto& [type_id, decision] : plane.TierAssignments()) {
@@ -215,39 +245,18 @@ Status ImpactStage::Run(CycleContext& ctx) {
     }
   }
 
-  // Retire sweep gate: checking every instance costs a page-count map
-  // lookup per instance, but a query's page count can only DROP through
-  // a RemovePage — so when the map's removal epoch is unchanged since
-  // the last sweep, every live instance provably still has a page and
-  // the sweep would retire nothing. A null slot (stage isolation tests)
-  // or an empty one (first cycle, post-restore — recovered instances may
-  // reference pages a rebuilt map never had) forces the sweep.
-  const uint64_t removal_epoch = env_.map->removals_epoch();
-  const bool sweep = env_.last_retire_epoch == nullptr ||
-                     !env_.last_retire_epoch->has_value() ||
-                     **env_.last_retire_epoch != removal_epoch;
-  if (env_.last_retire_epoch != nullptr) {
-    *env_.last_retire_epoch = removal_epoch;
-  }
-
-  // Serial pre-pass: retire instances whose pages already left the cache
-  // (evicted or invalidated through another instance), and — on the
-  // interpreted/scalar path — snapshot the per-instance work list in the
-  // same walk. The snapshot's QueryInstance pointers stay valid without
-  // holding shard locks: instances are node-mapped and only the cycle
-  // thread (below, or DeliverStage) erases them. Registration may insert
-  // concurrently; inserts never move nodes. The columnar path builds its
-  // (much smaller) work list type by type after the probes instead.
-  std::vector<std::string> retired;
+  // Serial pre-pass of the interpreted/scalar path: snapshot the
+  // per-instance work list. The snapshot's QueryInstance pointers stay
+  // valid without holding shard locks: instances are node-mapped and
+  // only the cycle thread (IngestStage, DeliverStage) erases them.
+  // Registration may insert concurrently; inserts never move nodes. The
+  // columnar path builds its (much smaller) work list type by type after
+  // the probes instead.
   std::vector<InstanceAnalysis>& work = ctx.work;
   if (!batch) {
     ctx.work.reserve(plane.NumInstances());
     plane.ForEachInstance([&](const QueryType& type,
                               const QueryInstance& instance) {
-      if (sweep && env_.map->NumPagesForQuery(instance.sql) == 0) {
-        retired.push_back(instance.sql);
-        return;
-      }
       InstanceAnalysis analysis;
       analysis.type_id = type.type_id;
       analysis.instance_id = instance.instance_id;
@@ -255,16 +264,6 @@ Status ImpactStage::Run(CycleContext& ctx) {
       analysis.exact = exact_types.count(type.type_id) > 0;
       ctx.work.push_back(std::move(analysis));
     });
-  } else if (sweep) {
-    plane.ForEachInstance(
-        [&](const QueryType&, const QueryInstance& instance) {
-          if (env_.map->NumPagesForQuery(instance.sql) == 0) {
-            retired.push_back(instance.sql);
-          }
-        });
-  }
-  for (const std::string& instance_sql : retired) {
-    plane.RetireInstance(instance_sql);
   }
 
   // ---- Index probe phase: each delta tuple probes the bind index once
@@ -299,9 +298,6 @@ Status ImpactStage::Run(CycleContext& ctx) {
       plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
         block.live = shard.registry.NumInstancesOfType(block.type_id);
         if (block.live == 0) return;
-        // Exact-tier types need no candidate discovery: every instance
-        // is decided from row images in the fan-out below.
-        if (exact_types.count(block.type_id) > 0) return;
         auto matcher_it = shard.matchers.find(block.type_id);
         if (matcher_it == shard.matchers.end() ||
             !matcher_it->second.handled()) {
@@ -410,6 +406,9 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // order — polling order downstream depends on it); the rest fold into
   // one aggregate record per type, merged below with counters identical
   // to the scalar walk's. An ineligible type materializes everyone.
+  // Exact-tier types partition the same way: a non-candidate's WHERE is
+  // definitely FALSE for every old and new row image in the batch, so
+  // no membership can flip and no content can change.
   struct SkippedBlock {
     uint64_t type_id = 0;
     uint64_t count = 0;           // Instances proven unaffected.
@@ -421,24 +420,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
     std::vector<const QueryInstance*> fetched;
     for (const TypeBlock& block : blocks) {
       if (block.live == 0) continue;
-      // Exact-tier types bypass the probe-driven partition: every live
-      // instance enters the work list (SQL-text order — the scalar
-      // snapshot's order) and is decided from row images in the fan-out.
-      if (exact_types.count(block.type_id) > 0) {
-        plane.WithShardOfType(
-            block.type_id, [&](MetadataPlane::Shard& shard) {
-              shard.registry.ForEachInstanceOfType(
-                  block.type_id, [&](const QueryInstance& instance) {
-                    InstanceAnalysis analysis;
-                    analysis.type_id = block.type_id;
-                    analysis.instance_id = instance.instance_id;
-                    analysis.instance = &instance;
-                    analysis.exact = true;
-                    work.push_back(std::move(analysis));
-                  });
-            });
-        continue;
-      }
+      const bool exact = exact_types.count(block.type_id) > 0;
       const sql::SelectStatement* statement = block.type->tmpl.statement.get();
 
       std::vector<const TableProbe*> covering(ctx.merged.size(), nullptr);
@@ -479,6 +461,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
                     analysis.type_id = block.type_id;
                     analysis.instance_id = instance.instance_id;
                     analysis.instance = &instance;
+                    analysis.exact = exact;
                     work.push_back(std::move(analysis));
                   });
             });
@@ -521,6 +504,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
           analysis.type_id = block.type_id;
           analysis.instance_id = instance->instance_id;
           analysis.instance = instance;
+          analysis.exact = exact;
           work.push_back(std::move(analysis));
         }
       }
@@ -553,7 +537,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
     const QueryInstance& instance = *a.instance;
 
     if (a.exact) {
-      // Exact tier: the delta for the instance's single FROM table
+      // Exact tier: the delta for the candidate's single FROM table
       // decides membership changes from its row images — no impact
       // analysis, no polls, never condemned. Views over other tables
       // cannot affect a single-table query and are skipped outright

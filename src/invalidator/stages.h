@@ -14,8 +14,9 @@ namespace cacheportal::invalidator {
 
 /// Plans the degradation rung, scans the QI/URL map for new query
 /// instances (routing registrations into the metadata plane's shards),
-/// pulls the update log, and builds the delta set + merged tuple views.
-/// Sets ctx.proceed = false when the log had nothing new.
+/// retires instances the map's orphan feed reports page-less, pulls the
+/// update log, and builds the delta set + merged tuple views. Sets
+/// ctx.proceed = false when the log had nothing new.
 class IngestStage {
  public:
   explicit IngestStage(StageEnv env) : env_(std::move(env)) {}
@@ -25,11 +26,10 @@ class IngestStage {
   StageEnv env_;
 };
 
-/// Impact analysis (Section 4.1.2's grouping): snapshots the work list,
-/// retires page-less instances, probes the bind indexes, fans the
-/// per-instance analysis across the pool, and merges verdicts into
-/// stats and polling tasks — or, on the emergency rung, table-scope
-/// flushes without analysis.
+/// Impact analysis (Section 4.1.2's grouping): probes the bind indexes
+/// for candidates, fans the per-instance verdicts across the pool, and
+/// merges them into stats and polling tasks — or, on the emergency rung,
+/// table-scope flushes without analysis.
 class ImpactStage {
  public:
   explicit ImpactStage(StageEnv env) : env_(std::move(env)) {}

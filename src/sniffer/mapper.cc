@@ -7,10 +7,22 @@ namespace cacheportal::sniffer {
 size_t RequestToQueryMapper::Run() {
   size_t added = 0;
   const auto& queries = query_log_->entries();
-  for (const RequestLogEntry& request : request_log_->entries()) {
-    if (!request.completed()) continue;
-    if (processed_.contains(request.id)) continue;
-    processed_.insert(request.id);
+  const auto& requests = request_log_->entries();
+  bool in_prefix = true;  // Every entry before `i` is processed.
+  for (size_t i = cursor_; i < requests.size(); ++i) {
+    const RequestLogEntry& request = requests[i];
+    if (!request.completed()) {
+      in_prefix = false;
+      continue;
+    }
+    if (in_prefix) {
+      cursor_ = i + 1;
+      // Already processed out of order by an earlier run.
+      if (processed_.erase(request.id) > 0) continue;
+    } else if (!processed_.insert(request.id).second) {
+      continue;
+    }
+    ++requests_processed_;
 
     // Query log entries are appended in receive-time order; binary-search
     // the first candidate.

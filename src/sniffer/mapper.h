@@ -27,17 +27,25 @@ class RequestToQueryMapper {
       : request_log_(request_log), query_log_(query_log), map_(map) {}
 
   /// Processes newly completed requests; returns how many (query, page)
-  /// pairs were added to the map. Idempotent per request.
+  /// pairs were added to the map. Idempotent per request. Visits only the
+  /// log entries from the first unprocessed one on, so its cost follows
+  /// the requests served since the last run, not the log's length.
   size_t Run();
 
   /// Requests processed so far.
-  uint64_t requests_processed() const { return processed_.size(); }
+  uint64_t requests_processed() const { return requests_processed_; }
 
  private:
   const RequestLog* request_log_;
   const QueryLog* query_log_;
   QiUrlMap* map_;
+  // Index of the first request-log entry not yet processed: every entry
+  // before it is done.
+  size_t cursor_ = 0;
+  // IDs of the processed entries past the cursor: requests that
+  // completed while an earlier one was still in flight.
   std::set<uint64_t> processed_;
+  uint64_t requests_processed_ = 0;
 };
 
 }  // namespace cacheportal::sniffer

@@ -18,8 +18,7 @@ QiUrlMap::QiUrlMap(QiUrlMap&& other) noexcept {
   next_id_ = other.next_id_;
   epoch_.store(other.epoch_.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
-  removals_epoch_.store(other.removals_epoch_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
+  orphans_ = std::move(other.orphans_);
 }
 
 QiUrlMap& QiUrlMap::operator=(QiUrlMap&& other) noexcept {
@@ -31,9 +30,7 @@ QiUrlMap& QiUrlMap::operator=(QiUrlMap&& other) noexcept {
     next_id_ = other.next_id_;
     epoch_.store(other.epoch_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
-    removals_epoch_.store(
-        other.removals_epoch_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
+    orphans_ = std::move(other.orphans_);
   }
   return *this;
 }
@@ -111,15 +108,25 @@ size_t QiUrlMap::RemovePage(const std::string& page_key) {
     auto q_it = by_query_.find(query);
     if (q_it != by_query_.end()) {
       q_it->second.erase(page_key);
-      if (q_it->second.empty()) by_query_.erase(q_it);
+      if (q_it->second.empty()) {
+        by_query_.erase(q_it);
+        std::lock_guard<std::mutex> orphans_lock(orphans_mu_);
+        if (orphans_.queries.size() < kMaxOrphans) {
+          orphans_.queries.push_back(query);
+        } else {
+          orphans_.complete = false;
+        }
+      }
     }
   }
   by_page_.erase(it);
-  if (removed > 0) {
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-    removals_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
+  if (removed > 0) epoch_.fetch_add(1, std::memory_order_acq_rel);
   return removed;
+}
+
+QiUrlMap::Orphans QiUrlMap::TakeOrphans() {
+  std::lock_guard<std::mutex> lock(orphans_mu_);
+  return std::exchange(orphans_, Orphans{});
 }
 
 size_t QiUrlMap::NumQueries() const {

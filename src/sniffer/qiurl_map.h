@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -33,7 +34,9 @@ struct QiUrlEntry {
 /// (RemovePage) — the decoupling that frees the two from lockstep batch
 /// coupling. `epoch()` counts row-set mutations (new rows and removals;
 /// timestamp refreshes don't count), so a consumer can skip its next
-/// incremental scan when the epoch it last observed is unchanged.
+/// incremental scan when the epoch it last observed is unchanged. The
+/// orphan feed (TakeOrphans) has its own mutex, so draining it never
+/// waits on the row set.
 class QiUrlMap {
  public:
   QiUrlMap() = default;
@@ -80,13 +83,19 @@ class QiUrlMap {
   /// observations mean no rows appeared or disappeared in between.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Removal-only counter: bumped by every RemovePage that removes at
-  /// least one row, never by Add. A query's page count can only DROP
-  /// through a removal, so a consumer that swept for page-less queries
-  /// at removal epoch E needs no re-sweep while the epoch stays E.
-  uint64_t removals_epoch() const {
-    return removals_epoch_.load(std::memory_order_acquire);
-  }
+  /// The queries whose page count RemovePage dropped to 0 since the
+  /// previous TakeOrphans, in removal order (a query orphaned twice
+  /// appears twice). A query may have gained a page again since, so a
+  /// consumer re-checks NumPagesForQuery before acting. The feed holds
+  /// at most kMaxOrphans entries; past that it drops them and reports
+  /// `complete = false`, and the consumer must check every query it
+  /// tracks instead.
+  struct Orphans {
+    std::vector<std::string> queries;
+    bool complete = true;
+  };
+  static constexpr size_t kMaxOrphans = 1 << 14;
+  Orphans TakeOrphans();
 
   /// Serializes all rows to the sniffer's line format (see log_io.h); the
   /// invalidator machine can persist its view of the map across restarts.
@@ -101,7 +110,6 @@ class QiUrlMap {
  private:
   mutable std::shared_mutex mu_;
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> removals_epoch_{0};
   // id -> entry, ordered for ReadSince.
   std::map<uint64_t, QiUrlEntry> entries_;
   // (query, page) -> id for dedup.
@@ -109,6 +117,9 @@ class QiUrlMap {
   std::map<std::string, std::set<std::string>> by_query_;  // query -> pages.
   std::map<std::string, std::set<std::string>> by_page_;   // page -> queries.
   uint64_t next_id_ = 1;
+  // Taken while holding mu_ (RemovePage), never the other way round.
+  std::mutex orphans_mu_;
+  Orphans orphans_;
 };
 
 }  // namespace cacheportal::sniffer

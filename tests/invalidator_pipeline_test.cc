@@ -601,5 +601,141 @@ TEST(StageCompositionTest, ComposedStagesMatchRunCycle) {
   EXPECT_EQ(composed.second, monolith.second);
 }
 
+// ---------------------------------------------------------------------------
+// Retirement feed: after the first cycle, instances retire from the
+// QI/URL map's orphan feed instead of a sweep over every instance. After
+// every cycle — with or without updates — the live instances are exactly
+// the registered queries that still have a page.
+// ---------------------------------------------------------------------------
+
+class RetirementFeedTest : public ::testing::Test {
+ protected:
+  RetirementFeedTest() : db_(&clock_) {
+    CreateCarTables(&db_);
+    for (int i = 0; i < 6; ++i) {
+      sqls_.push_back(StrCat("SELECT * FROM Car WHERE price < ", 1000 * (i + 1)));
+    }
+    inv_ = std::make_unique<Invalidator>(&db_, &map_, &clock_);
+  }
+
+  static std::string Page(size_t i) { return StrCat("p", i, "?##"); }
+
+  void CacheAll() {
+    for (size_t i = 0; i < sqls_.size(); ++i) {
+      map_.Add(sqls_[i], Page(i), "/r", 0);
+    }
+  }
+
+  /// Runs one cycle and checks the invariant; returns the live set.
+  std::set<std::string> Cycle() {
+    EXPECT_TRUE(inv_->RunCycle().ok());
+    std::set<std::string> live;
+    inv_->metadata().ForEachInstance(
+        [&](const QueryType&, const QueryInstance& instance) {
+          live.insert(instance.sql);
+        });
+    std::set<std::string> backed;
+    for (const std::string& sql : sqls_) {
+      if (map_.NumPagesForQuery(sql) > 0) backed.insert(sql);
+    }
+    EXPECT_EQ(live, backed);
+    return live;
+  }
+
+  ManualClock clock_;
+  db::Database db_;
+  sniffer::QiUrlMap map_;
+  std::unique_ptr<Invalidator> inv_;
+  std::vector<std::string> sqls_;
+};
+
+TEST_F(RetirementFeedTest, OrphanReAddedBeforeTheCycleIsNotRetired) {
+  CacheAll();
+  EXPECT_EQ(Cycle().size(), 6u);
+  map_.RemovePage(Page(0));
+  map_.Add(sqls_[0], Page(0), "/r", 1);  // Rebuilt before the cycle.
+  map_.RemovePage(Page(1));              // Gone for good.
+  std::set<std::string> live = Cycle();  // No updates: retires anyway.
+  EXPECT_TRUE(live.contains(sqls_[0]));
+  EXPECT_FALSE(live.contains(sqls_[1]));
+  EXPECT_EQ(live.size(), 5u);
+}
+
+TEST_F(RetirementFeedTest, NeverRegisteredOrphanIsANoOp) {
+  CacheAll();
+  Cycle();
+  // Cached and evicted between two cycles: the scan never sees the row,
+  // and retiring an unregistered query changes nothing.
+  map_.Add("SELECT * FROM Car WHERE price < 77", "px?##", "/r", 1);
+  map_.RemovePage("px?##");
+  map_.Add("not even SQL", "py?##", "/r", 1);
+  map_.RemovePage("py?##");
+  db_.ExecuteSql("INSERT INTO Car VALUES ('Ford', 'Ka', 99999)").value();
+  EXPECT_EQ(Cycle().size(), 6u);
+  EXPECT_EQ(inv_->stats().instances_registered, 6u);
+}
+
+TEST_F(RetirementFeedTest, OverflowedFeedFallsBackToAFullSweep) {
+  CacheAll();
+  Cycle();
+  // Orphan one query past the feed's bound, then one more: the last
+  // orphan is dropped from the feed, so only a full sweep retires it.
+  for (size_t i = 0; i <= sniffer::QiUrlMap::kMaxOrphans; ++i) {
+    map_.Add(sqls_[0], Page(0), "/r", 1);
+    map_.RemovePage(Page(0));
+  }
+  map_.RemovePage(Page(1));
+  std::set<std::string> live = Cycle();
+  EXPECT_FALSE(live.contains(sqls_[0]));
+  EXPECT_FALSE(live.contains(sqls_[1]));
+  EXPECT_EQ(live.size(), 4u);
+}
+
+TEST_F(RetirementFeedTest, FeedStaysDrainedAcrossUpdateLessCycles) {
+  CacheAll();
+  Cycle();
+  for (int round = 0; round < 50; ++round) {
+    size_t i = static_cast<size_t>(round) % sqls_.size();
+    map_.RemovePage(Page(i));
+    if (round % 2 == 0) map_.Add(sqls_[i], Page(i), "/r", round);
+    Cycle();
+    // The cycle took everything the feed held.
+    sniffer::QiUrlMap::Orphans left = map_.TakeOrphans();
+    EXPECT_TRUE(left.complete);
+    EXPECT_TRUE(left.queries.empty()) << "round " << round;
+    if (round % 2 != 0) map_.Add(sqls_[i], Page(i), "/r", round);
+  }
+}
+
+TEST_F(RetirementFeedTest, RestoreForcesAFullSweep) {
+  CacheAll();
+  Cycle();
+  db_.ExecuteSql("INSERT INTO Car VALUES ('Ford', 'Ka', 99999)").value();
+  Cycle();
+  std::string checkpoint = inv_->Checkpoint();
+
+  // A restart: the map is rebuilt from live traffic and holds pages for
+  // half the instances the checkpoint recovers. Its feed is empty — it
+  // never removed anything — so only the post-Restore sweep can retire
+  // the other half.
+  sniffer::QiUrlMap rebuilt;
+  for (size_t i = 0; i < 3; ++i) rebuilt.Add(sqls_[i], Page(i), "/r", 2);
+  Invalidator restored(&db_, &rebuilt, &clock_);
+  ASSERT_TRUE(restored.Restore(checkpoint).ok());
+  ASSERT_TRUE(restored.RunCycle().ok());
+  std::set<std::string> live;
+  restored.metadata().ForEachInstance(
+      [&](const QueryType&, const QueryInstance& instance) {
+        live.insert(instance.sql);
+      });
+  EXPECT_EQ(live, (std::set<std::string>{sqls_[0], sqls_[1], sqls_[2]}));
+
+  // Restore on a live invalidator re-arms the sweep too.
+  map_.RemovePage(Page(5));
+  map_.TakeOrphans();  // Lost: e.g. taken by a process that died.
+  ASSERT_TRUE(inv_->Restore(checkpoint).ok());
+  EXPECT_FALSE(Cycle().contains(sqls_[5]));
+}
+
 }  // namespace
 }  // namespace cacheportal::invalidator

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -436,6 +438,155 @@ TEST_P(StrategyDifferentialTest, ExactRunIsDeterministicAcrossTheMatrix) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StrategyDifferentialTest,
                          ::testing::Range<uint64_t>(1, 12));
+
+// ---------------------------------------------------------------------------
+// The exact tier at scale, through the bind index: 10^4 point-lookup
+// instances of one exact type. Candidates come from the columnar probes
+// like every compiled type's; a non-candidate's WHERE is FALSE for every
+// old and new row image, so skipping it changes no verdict. Ejects must
+// equal the re-execution oracle at every workers x shards point, and the
+// decision counters must equal the ones the full walk (every exact
+// instance decided from row images, every cycle) produced on this world.
+// ---------------------------------------------------------------------------
+
+constexpr int kPointGroups = 10000;
+
+struct PointRun {
+  std::vector<std::set<std::string>> ejected;  // Per cycle.
+  std::vector<std::set<std::string>> oracle_stale;
+  std::vector<uint64_t> checks;  // CycleReport::checks, per cycle.
+  InvalidatorStats stats;
+  uint64_t type_checks = 0;  // The type's QueryTypeStats::checks.
+  uint64_t type_affected = 0;
+  uint64_t fast_path_instances = 0;
+};
+
+/// `oracle` off skips the re-execution (run.oracle_stale stays empty):
+/// every configuration replays the same world, so one oracle run serves
+/// them all as long as their ejects agree cycle by cycle.
+PointRun RunPointWorld(size_t workers, size_t shards, bool with_oracle) {
+  ManualClock clock;
+  db::Database db(&clock);
+  EXPECT_TRUE(db.CreateTable(db::TableSchema(
+                                 "Item", {{"id", db::ColumnType::kInt},
+                                          {"grp", db::ColumnType::kDouble},
+                                          {"label", db::ColumnType::kString}}))
+                  .ok());
+  EXPECT_TRUE(
+      db.CreateTable(db::TableSchema("Other", {{"x", db::ColumnType::kInt}}))
+          .ok());
+  // One row in every 150th group: id i sits in group 150 * i.
+  for (int i = 0; i < 64; ++i) {
+    db.ExecuteSql(StrCat("INSERT INTO Item VALUES (", i, ", ", 150 * i,
+                         ", 'l", i, "')"))
+        .value();
+  }
+  auto insert_nan_row = [&db] {
+    auto insert = std::make_unique<sql::InsertStatement>();
+    insert->table = "Item";
+    insert->values.push_back(std::make_unique<sql::LiteralExpr>(sql::Value::Int(101)));
+    insert->values.push_back(std::make_unique<sql::LiteralExpr>(
+        sql::Value::Double(std::numeric_limits<double>::quiet_NaN())));
+    insert->values.push_back(
+        std::make_unique<sql::LiteralExpr>(sql::Value::String("nan")));
+    EXPECT_TRUE(db.ExecuteInsert(*insert).ok());
+  };
+  // One burst per cycle.
+  const std::vector<std::function<void()>> bursts = {
+      // Group 450 -> group 7777: both groups' results change.
+      [&db] { db.ExecuteSql("UPDATE Item SET grp = 7777 WHERE id = 3").value(); },
+      // NULL anchor cell: the probe returns every row to every instance
+      // (the full walk); grp = NULL matches no group.
+      [&db] { db.ExecuteSql("INSERT INTO Item VALUES (100, NULL, 'n')").value(); },
+      // NaN anchor cell: also the full walk; NaN compares equal to every
+      // number, so the row joins every group's result.
+      insert_nan_row,
+      [&db] { db.ExecuteSql("DELETE FROM Item WHERE id = 10").value(); },
+      // A table no instance reads.
+      [&db] { db.ExecuteSql("INSERT INTO Other VALUES (1)").value(); },
+      // In-place content change inside group 3000.
+      [&db] { db.ExecuteSql("UPDATE Item SET label = 'z' WHERE id = 20").value(); },
+      [&db] {
+        db.ExecuteSql("INSERT INTO Item VALUES (102, 42, 'm')").value();
+        db.ExecuteSql("UPDATE Item SET grp = 9999 WHERE id = 31").value();
+        db.ExecuteSql("INSERT INTO Other VALUES (2)").value();
+      },
+  };
+
+  sniffer::QiUrlMap map;
+  RecordingSink sink;
+  InvalidatorOptions options;
+  options.worker_threads = workers;
+  options.metadata_shards = shards;
+  Invalidator inv(&db, &map, &clock, options);
+  inv.AddSink(&sink);
+  BaselineInvalidator oracle(&db, &map);
+
+  PointRun run;
+  for (const std::function<void()>& burst : bursts) {
+    for (int g = 0; g < kPointGroups; ++g) {
+      std::string sql = StrCat("SELECT * FROM Item WHERE grp = ", g);
+      if (map.NumPagesForQuery(sql) == 0) {
+        map.Add(sql, StrCat("item/g", g, "?##"), "/r", 0);
+      }
+    }
+    if (with_oracle) oracle.RunCycle().value();
+    burst();
+    if (with_oracle) run.oracle_stale.push_back(oracle.RunCycle()->stale_pages);
+    sink.invalidated.clear();
+    CycleReport report = inv.RunCycle().value();
+    run.ejected.push_back(sink.invalidated);
+    run.checks.push_back(report.checks);
+  }
+  run.stats = inv.stats();
+  run.fast_path_instances = inv.matcher_stats().fast_path_instances;
+  inv.metadata().ForEachType([&](const QueryType& type) {
+    run.type_checks += type.stats.checks;
+    run.type_affected += type.stats.affected;
+  });
+  for (const auto& [type_id, decision] : inv.metadata().TierAssignments()) {
+    EXPECT_EQ(decision.tier, StrategyTier::kExact);
+  }
+  return run;
+}
+
+TEST(ExactTierAtScaleTest, EjectsEqualTheOracleAndCountersEqualTheFullWalk) {
+  const PointRun serial = RunPointWorld(1, 1, /*with_oracle=*/true);
+  const std::vector<std::set<std::string>>& truth = serial.oracle_stale;
+  ASSERT_EQ(truth.size(), 7u);
+  for (size_t workers : {1u, 4u}) {
+    for (size_t shards : {1u, 4u}) {
+      SCOPED_TRACE(StrCat("workers ", workers, " shards ", shards));
+      PointRun run = workers == 1 && shards == 1
+                         ? serial
+                         : RunPointWorld(workers, shards, /*with_oracle=*/false);
+      ASSERT_EQ(run.ejected.size(), truth.size());
+      for (size_t c = 0; c < run.ejected.size(); ++c) {
+        EXPECT_EQ(run.ejected[c], truth[c]) << "cycle " << c;
+      }
+      EXPECT_EQ(run.ejected[0], (std::set<std::string>{"item/g450?##",
+                                                       "item/g7777?##"}));
+      EXPECT_TRUE(run.ejected[1].empty());
+      EXPECT_EQ(run.ejected[2].size(), static_cast<size_t>(kPointGroups));
+      EXPECT_TRUE(run.ejected[4].empty());
+
+      // The full walk's decision counters on this world: every live
+      // instance counts one check per cycle, skipped or not.
+      EXPECT_EQ(run.checks, std::vector<uint64_t>(7, kPointGroups));
+      EXPECT_EQ(run.stats.instance_checks, 70000u);
+      EXPECT_EQ(run.stats.unaffected, 59993u);
+      EXPECT_EQ(run.stats.affected_immediately, 10007u);
+      EXPECT_EQ(run.stats.polls_issued, 0u);
+      EXPECT_EQ(run.stats.conservative_invalidations, 0u);
+      EXPECT_EQ(run.type_checks, 70000u);
+      EXPECT_EQ(run.type_affected, 10007u);
+      // ... of which the probes decided all but the candidates without
+      // touching the instance: every cycle but the NULL and NaN ones.
+      EXPECT_EQ(run.fast_path_instances,
+                9998u + 9999u + 10000u + 9999u + 9997u);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Overload-rung interaction: exact verdicts are immune to the economy and

@@ -287,6 +287,62 @@ TEST(QiUrlMapTest, RemovePageCleansBothDirections) {
   EXPECT_EQ(map.RemovePage("p1"), 0u);
 }
 
+TEST(QiUrlMapTest, OrphanFeedReportsLastPageRemovals) {
+  QiUrlMap map;
+  map.Add("q1", "p1", "/r", 1);
+  map.Add("q1", "p2", "/r", 1);
+  map.Add("q2", "p1", "/r", 1);
+  map.RemovePage("p1");  // q2 loses its only page; q1 keeps p2.
+  QiUrlMap::Orphans orphans = map.TakeOrphans();
+  EXPECT_TRUE(orphans.complete);
+  EXPECT_EQ(orphans.queries, std::vector<std::string>{"q2"});
+  // Taking drains the feed.
+  EXPECT_TRUE(map.TakeOrphans().queries.empty());
+
+  // Removal order, repeats included: the feed records transitions, and a
+  // re-added query can be orphaned again before the consumer looks.
+  map.RemovePage("p2");
+  map.Add("q1", "p3", "/r", 2);
+  map.RemovePage("p3");
+  EXPECT_EQ(map.TakeOrphans().queries,
+            (std::vector<std::string>{"q1", "q1"}));
+  // Removing an unknown page orphans nothing.
+  EXPECT_EQ(map.RemovePage("nope"), 0u);
+  EXPECT_TRUE(map.TakeOrphans().queries.empty());
+}
+
+TEST(QiUrlMapTest, OrphanFeedIsBoundedAndReportsOverflow) {
+  QiUrlMap map;
+  const size_t n = QiUrlMap::kMaxOrphans + 3;
+  for (size_t i = 0; i < n; ++i) {
+    std::string id = std::to_string(i);
+    map.Add("q" + id, "p" + id, "/r", 1);
+    map.RemovePage("p" + id);
+  }
+  QiUrlMap::Orphans orphans = map.TakeOrphans();
+  EXPECT_FALSE(orphans.complete);
+  EXPECT_EQ(orphans.queries.size(), QiUrlMap::kMaxOrphans);
+  // The overflow is reported once; the drained feed starts complete.
+  orphans = map.TakeOrphans();
+  EXPECT_TRUE(orphans.complete);
+  EXPECT_TRUE(orphans.queries.empty());
+}
+
+TEST(QiUrlMapTest, MovesCarryTheOrphanFeed) {
+  QiUrlMap source;
+  source.Add("q1", "p1", "/r", 1);
+  source.Add("q2", "p2", "/r", 1);
+  source.RemovePage("p1");
+  QiUrlMap moved(std::move(source));
+  EXPECT_EQ(moved.TakeOrphans().queries, std::vector<std::string>{"q1"});
+
+  moved.RemovePage("p2");
+  QiUrlMap assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.TakeOrphans().queries, std::vector<std::string>{"q2"});
+  EXPECT_TRUE(assigned.TakeOrphans().queries.empty());
+}
+
 // ---------------------------------------------------------------------
 // Request-to-query mapper
 // ---------------------------------------------------------------------
@@ -367,6 +423,90 @@ TEST(MapperTest, IncompleteRequestsDeferred) {
   EXPECT_EQ(mapper.Run(), 1u);  // Picked up on the next run.
   EXPECT_EQ(mapper.Run(), 0u);  // Idempotent.
   EXPECT_EQ(mapper.requests_processed(), 1u);
+}
+
+TEST(MapperTest, LaterRequestCompletingFirstIsMappedOnce) {
+  RequestLog requests;
+  QueryLog queries;
+  QiUrlMap map;
+  RequestToQueryMapper mapper(&requests, &queries, &map);
+
+  // A [100, 400] is still in flight when B [200, 300] completes.
+  uint64_t a = requests.Open("s", "/a", "", "", "pageA", 100);
+  uint64_t b = requests.Open("s", "/b", "", "", "pageB", 200);
+  queries.Append("qa", true, 110, 120);
+  queries.Append("qb", true, 210, 220);
+  requests.Close(b, 300);
+  EXPECT_EQ(mapper.Run(), 1u);
+  EXPECT_EQ(mapper.requests_processed(), 1u);
+  EXPECT_EQ(map.PagesForQuery("qb"), std::vector<std::string>{"pageB"});
+
+  // A completes: it maps both queries inside its interval; B is not
+  // processed again.
+  requests.Close(a, 400);
+  EXPECT_EQ(mapper.Run(), 2u);
+  EXPECT_EQ(mapper.requests_processed(), 2u);
+  EXPECT_EQ(map.PagesForQuery("qa"), std::vector<std::string>{"pageA"});
+  EXPECT_EQ(map.PagesForQuery("qb"),
+            (std::vector<std::string>{"pageA", "pageB"}));
+  EXPECT_EQ(mapper.Run(), 0u);
+  EXPECT_EQ(mapper.requests_processed(), 2u);
+}
+
+TEST(MapperTest, InFlightRequestIsPickedUpAfterLaterOnes) {
+  RequestLog requests;
+  QueryLog queries;
+  QiUrlMap map;
+  RequestToQueryMapper mapper(&requests, &queries, &map);
+
+  uint64_t a = requests.Open("s", "/a", "", "", "pageA", 100);
+  queries.Append("qa", true, 110, 120);
+  uint64_t b = requests.Open("s", "/b", "", "", "pageB", 500);
+  queries.Append("qb", true, 510, 520);
+  requests.Close(b, 600);
+  uint64_t c = requests.Open("s", "/c", "", "", "pageC", 700);
+  queries.Append("qc", true, 710, 720);
+  requests.Close(c, 800);
+  EXPECT_EQ(mapper.Run(), 2u);  // B and C; A is in flight.
+  EXPECT_EQ(mapper.requests_processed(), 2u);
+
+  // More traffic behind the stuck request, then it completes.
+  uint64_t d = requests.Open("s", "/d", "", "", "pageD", 900);
+  queries.Append("qd", true, 910, 920);
+  requests.Close(d, 1000);
+  EXPECT_EQ(mapper.Run(), 1u);  // D only.
+  EXPECT_EQ(mapper.requests_processed(), 3u);
+  requests.Close(a, 1100);
+  // A's interval now covers every query so far; each pair is new.
+  EXPECT_EQ(mapper.Run(), 4u);
+  EXPECT_EQ(mapper.requests_processed(), 4u);
+  EXPECT_EQ(map.PagesForQuery("qa"), std::vector<std::string>{"pageA"});
+  EXPECT_EQ(map.PagesForQuery("qd"),
+            (std::vector<std::string>{"pageA", "pageD"}));
+}
+
+TEST(MapperTest, RepeatedRunsWithNothingNewAddNothing) {
+  RequestLog requests;
+  QueryLog queries;
+  QiUrlMap map;
+  RequestToQueryMapper mapper(&requests, &queries, &map);
+  EXPECT_EQ(mapper.Run(), 0u);
+  EXPECT_EQ(mapper.requests_processed(), 0u);
+  for (int i = 0; i < 5; ++i) {
+    Micros t = 1000 * (i + 1);
+    uint64_t id = requests.Open("s", "/p", "", "", "page" + std::to_string(i),
+                                t);
+    queries.Append("q" + std::to_string(i), true, t + 10, t + 20);
+    requests.Close(id, t + 100);
+  }
+  EXPECT_EQ(mapper.Run(), 5u);
+  EXPECT_EQ(mapper.requests_processed(), 5u);
+  size_t rows = map.size();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(mapper.Run(), 0u);
+    EXPECT_EQ(mapper.requests_processed(), 5u);
+    EXPECT_EQ(map.size(), rows);
+  }
 }
 
 }  // namespace
