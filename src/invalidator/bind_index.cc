@@ -240,129 +240,14 @@ size_t BindIndex::IndexedCountOfType(uint64_t type_id) const {
   return it == count_by_type_.end() ? 0 : it->second;
 }
 
-BindIndex::Candidates BindIndex::Probe(uint64_t type_id,
-                                       const std::string& table_lower,
-                                       const CompiledAnchor& anchor,
-                                       const sql::Value& tuple_value) const {
-  Candidates candidates;
-  // NULL makes every comparison NULL (candidate); booleans are outside
-  // the indexed classes.
-  if (tuple_value.is_null() || tuple_value.is_bool()) {
-    candidates.all = true;
-    return candidates;
-  }
-  auto index_it = indexes_.find(std::make_pair(type_id, table_lower));
-  if (index_it == indexes_.end()) return candidates;
-  const AnchorIndex& index = index_it->second;
-
-  if (tuple_value.is_numeric()) {
-    double t = NumKey(tuple_value);
-    if (std::isnan(t)) {
-      // NaN is unordered against every comparand, so no probe can prove
-      // a definite FALSE — and feeding NaN to the sorted maps would
-      // invoke inconsistent-ordering behavior. Everyone looks.
-      candidates.all = true;
-      return candidates;
-    }
-    switch (anchor.rel) {
-      case AnchorRel::kEq:
-      case AnchorRel::kIn: {
-        auto [begin, end] = index.eq_num.equal_range(t);
-        for (auto it = begin; it != end; ++it) {
-          candidates.ids.push_back(it->second);
-        }
-        break;
-      }
-      case AnchorRel::kLt:  // col < c is satisfiable iff c > t.
-        for (auto it = index.range_num.upper_bound(t);
-             it != index.range_num.end(); ++it) {
-          candidates.ids.push_back(it->second);
-        }
-        break;
-      case AnchorRel::kLtEq:  // c >= t.
-        for (auto it = index.range_num.lower_bound(t);
-             it != index.range_num.end(); ++it) {
-          candidates.ids.push_back(it->second);
-        }
-        break;
-      case AnchorRel::kGt:  // c < t.
-        for (auto it = index.range_num.begin();
-             it != index.range_num.lower_bound(t); ++it) {
-          candidates.ids.push_back(it->second);
-        }
-        break;
-      case AnchorRel::kGtEq:  // c <= t.
-        for (auto it = index.range_num.begin();
-             it != index.range_num.upper_bound(t); ++it) {
-          candidates.ids.push_back(it->second);
-        }
-        break;
-      case AnchorRel::kBetween:  // low <= t AND high >= t.
-        for (auto it = index.between_num.begin();
-             it != index.between_num.upper_bound(t); ++it) {
-          if (it->second.first >= t) candidates.ids.push_back(it->second.second);
-        }
-        break;
-    }
-    candidates.ids.insert(candidates.ids.end(), index.always_num.begin(),
-                          index.always_num.end());
-    return candidates;
-  }
-
-  const std::string& t = tuple_value.AsString();
-  switch (anchor.rel) {
-    case AnchorRel::kEq:
-    case AnchorRel::kIn: {
-      auto [begin, end] = index.eq_str.equal_range(t);
-      for (auto it = begin; it != end; ++it) {
-        candidates.ids.push_back(it->second);
-      }
-      break;
-    }
-    case AnchorRel::kLt:
-      for (auto it = index.range_str.upper_bound(t);
-           it != index.range_str.end(); ++it) {
-        candidates.ids.push_back(it->second);
-      }
-      break;
-    case AnchorRel::kLtEq:
-      for (auto it = index.range_str.lower_bound(t);
-           it != index.range_str.end(); ++it) {
-        candidates.ids.push_back(it->second);
-      }
-      break;
-    case AnchorRel::kGt:
-      for (auto it = index.range_str.begin();
-           it != index.range_str.lower_bound(t); ++it) {
-        candidates.ids.push_back(it->second);
-      }
-      break;
-    case AnchorRel::kGtEq:
-      for (auto it = index.range_str.begin();
-           it != index.range_str.upper_bound(t); ++it) {
-        candidates.ids.push_back(it->second);
-      }
-      break;
-    case AnchorRel::kBetween:
-      for (auto it = index.between_str.begin();
-           it != index.between_str.upper_bound(t); ++it) {
-        if (it->second.first >= t) candidates.ids.push_back(it->second.second);
-      }
-      break;
-  }
-  candidates.ids.insert(candidates.ids.end(), index.always_str.begin(),
-                        index.always_str.end());
-  return candidates;
-}
-
 void BindIndex::ProbeBatch(uint64_t type_id, const std::string& table_lower,
                            const CompiledAnchor& anchor,
                            const sql::ColumnVector& column, BatchProbe* out,
                            MatcherStats* stats) const {
   const size_t n = column.size();
   // Rows no probe can exclude for anyone (NULL/boolean/NaN/missing
-  // cells) — ascending, exactly the rows per-tuple Probe answers with
-  // `all`.
+  // cells): NULL makes every comparison NULL, booleans are outside the
+  // indexed classes, and NaN is unordered against every comparand.
   for (uint32_t i = 0; i < n; ++i) {
     if (column.klass[i] == sql::CellClass::kAlways) {
       out->all_rows.push_back(i);
@@ -405,8 +290,7 @@ void BindIndex::ProbeBatch(uint64_t type_id, const std::string& table_lower,
 
   // ---- Numeric rows vs the numeric-keyed containers. ----
   // Skipped wholesale (always lists included) when the batch has no
-  // numeric rows — a per-tuple probe of a non-numeric value never
-  // touches them either.
+  // numeric rows — a non-numeric cell never reaches them.
   if (column.num_count > 0) {
     if (equality) {
       if (index.eq_num.size() <= kKernelEntryLimit) {
@@ -440,8 +324,8 @@ void BindIndex::ProbeBatch(uint64_t type_id, const std::string& table_lower,
                                 hi_id.first, &bitmap_of(hi_id.second));
         }
       } else {
-        // Same entry window a per-tuple probe scans (lo <= max key),
-        // with each entry's [lo, hi] row span found by binary search.
+        // Only entries with lo <= max key can match a row, each with
+        // its [lo, hi] row span found by binary search.
         const auto& keys = sorted_keys().num;
         auto stop = index.between_num.upper_bound(keys.back().first);
         for (auto it = index.between_num.begin(); it != stop; ++it) {
@@ -475,9 +359,9 @@ void BindIndex::ProbeBatch(uint64_t type_id, const std::string& table_lower,
       } else {
         // Sorted merge: entries ascend by comparand, batch keys ascend,
         // so one monotone pointer finds each entry's matching prefix
-        // (col < c / <= c) or suffix (col > c / >= c). The entry window
-        // is the union of the windows per-tuple probes scan, so cost
-        // stays output-sensitive.
+        // (col < c / <= c) or suffix (col > c / >= c). Only entries
+        // some row can satisfy are visited, so cost stays
+        // output-sensitive.
         const auto& keys = sorted_keys().num;
         const double min_key = keys.front().first;
         const double max_key = keys.back().first;
@@ -531,7 +415,7 @@ void BindIndex::ProbeBatch(uint64_t type_id, const std::string& table_lower,
       }
     }
     // Always-candidate instances of the numeric class get every numeric
-    // row — what each per-tuple probe appends after its lookup.
+    // row.
     for (uint64_t id : index.always_num) {
       sql::OrRowsOfClass(column, sql::CellClass::kNumeric, &bitmap_of(id));
     }
@@ -661,7 +545,7 @@ void BindIndex::ProbeBatch(uint64_t type_id, const std::string& table_lower,
     std::vector<uint32_t> rows;
     bitmap.AppendSetRows(&rows);
     // An empty list would make the instance look like a candidate
-    // downstream; per-tuple probes never emit one.
+    // downstream.
     if (rows.empty()) continue;
     out->per_id.emplace(id, std::move(rows));
   }

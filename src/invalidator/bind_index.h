@@ -52,11 +52,6 @@ namespace cacheportal::invalidator {
 ///    as "all candidates".
 class BindIndex {
  public:
-  struct Candidates {
-    bool all = false;           // Every instance of the type is a candidate.
-    std::vector<uint64_t> ids;  // Otherwise: candidate instance IDs (unique).
-  };
-
   /// Indexes `instance` under every anchored table of its type's matcher.
   /// Idempotent per instance_id.
   void AddInstance(const TypeMatcher& matcher, const QueryInstance& instance);
@@ -72,17 +67,12 @@ class BindIndex {
   /// against the registry before trusting probe exclusions.
   size_t IndexedCountOfType(uint64_t type_id) const;
 
-  /// Candidate instances of `type_id` for a delta tuple of `table_lower`
-  /// whose anchored column holds `tuple_value`.
-  Candidates Probe(uint64_t type_id, const std::string& table_lower,
-                   const CompiledAnchor& anchor,
-                   const sql::Value& tuple_value) const;
-
   /// Columnar probe result for a whole (type, table) batch: the rows
   /// every instance must consider (NULL/boolean/NaN/missing cells) plus
-  /// each candidate instance's row list. Both ascending and
-  /// duplicate-free — element-for-element what per-tuple Probe calls
-  /// would have accumulated, so the two paths are interchangeable.
+  /// each candidate instance's row list: the rows whose anchored cell
+  /// does not make the instance's anchor conjunct definitely FALSE.
+  /// Both ascending and duplicate-free; an instance with no rows is
+  /// absent from `per_id`.
   struct BatchProbe {
     std::vector<uint32_t> all_rows;
     std::unordered_map<uint64_t, std::vector<uint32_t>> per_id;

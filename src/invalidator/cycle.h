@@ -113,13 +113,13 @@ struct CycleContext {
   /// One merged tuple view per updated table, borrowed by every
   /// analysis.
   std::vector<TableTuples> merged;
-  /// Columnar materialization of `merged` (parallel by index), built
-  /// when options.batch_impact && options.use_type_matcher; empty
-  /// otherwise. Borrows the same rows as `merged`.
+  /// Columnar materialization of `merged` (parallel by index). Borrows
+  /// the same rows as `merged`.
   std::vector<sql::ColumnBatch> batch_columns;
 
   // ---- ImpactStage output. ----
-  /// The per-instance work snapshot with verdicts merged in.
+  /// The per-instance work list (the instances the probes could not
+  /// rule out) with verdicts merged in.
   std::vector<InstanceAnalysis> work;
   /// SQL of every instance decided affected so far (ordered — delivery
   /// iterates it deterministically).

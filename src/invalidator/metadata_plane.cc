@@ -9,8 +9,8 @@
 namespace cacheportal::invalidator {
 
 MetadataPlane::MetadataPlane(db::Database* database, size_t num_shards,
-                             StrategyConfig strategy)
-    : database_(database), strategy_(strategy) {
+                             bool exact_strategy)
+    : database_(database), exact_strategy_(exact_strategy) {
   if (num_shards == 0) num_shards = 1;
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
@@ -20,13 +20,6 @@ MetadataPlane::MetadataPlane(db::Database* database, size_t num_shards,
     shards_.back()->shard.registry.SetTypeCounter(&type_count_);
   }
 }
-
-MetadataPlane::MetadataPlane(db::Database* database, size_t num_shards,
-                             bool use_type_matcher)
-    : MetadataPlane(database, num_shards, StrategyConfig{
-                                              /*exact=*/true,
-                                              /*compiled=*/use_type_matcher,
-                                              /*batch=*/true}) {}
 
 Status MetadataPlane::RegisterType(const std::string& name,
                                    const std::string& parameterized_sql) {
@@ -357,32 +350,24 @@ void MetadataPlane::IndexInstanceLocked(Shard& shard,
                                         const QueryInstance& instance) {
   const QueryType* type = shard.registry.FindType(instance.type_id);
   if (type == nullptr) return;
-  // The matcher compiles even when the compiled execution path is off:
-  // tier assignment needs its verdict, and tier naming must not depend
-  // on which execution path the options picked (StatsReport() is diffed
-  // between the two). The compile COUNTERS describe the matching layer's
-  // activity, so they only move when that layer is enabled — as does the
-  // bind index, which only the compiled path consults.
   auto it = shard.matchers.find(instance.type_id);
   if (it == shard.matchers.end()) {
     TypeMatcher matcher = TypeMatcher::Compile(*type, *database_);
-    if (strategy_.compiled) {
-      ++shard.compile_stats.types_compiled;
-      if (matcher.handled()) {
-        ++shard.compile_stats.types_handled;
-      } else {
-        ++shard.compile_stats.fallback_reasons[matcher.fallback_reason()];
-      }
+    ++shard.compile_stats.types_compiled;
+    if (matcher.handled()) {
+      ++shard.compile_stats.types_handled;
+    } else {
+      ++shard.compile_stats.fallback_reasons[matcher.fallback_reason()];
     }
     it = shard.matchers.emplace(instance.type_id, std::move(matcher)).first;
   }
-  if (strategy_.compiled && it->second.handled()) {
+  if (it->second.handled()) {
     shard.bind_index.AddInstance(it->second, instance);
   }
   if (shard.tiers.find(instance.type_id) == shard.tiers.end()) {
     shard.tiers.emplace(
         instance.type_id,
-        DecideTier(*type, *database_, strategy_, it->second.handled(),
+        DecideTier(*type, *database_, exact_strategy_, it->second.handled(),
                    it->second.fallback_reason()));
   }
 }

@@ -69,21 +69,16 @@ class MetadataPlane {
     uint64_t map_cursor = 0;
     /// Strategy tier of each type this shard owns, assigned at the
     /// type's first instance registration (or pinned by checkpoint
-    /// restore) and immutable afterwards (DESIGN.md §16). Tier naming is
-    /// matcher-flag-independent so StatsReport() stays byte-identical
-    /// between the compiled and interpreted execution paths.
+    /// restore) and immutable afterwards (DESIGN.md §16).
     std::map<uint64_t, TierDecision> tiers;
   };
 
   /// `database` is needed to compile type matchers (schema lookups); not
-  /// owned. `num_shards` of 0 is treated as 1.
+  /// owned. `num_shards` of 0 is treated as 1. `exact_strategy`
+  /// (InvalidatorOptions::exact_strategy) allows the exact tier in tier
+  /// assignment.
   MetadataPlane(db::Database* database, size_t num_shards,
-                StrategyConfig strategy);
-
-  /// Historical convenience ctor: exact tier on, batch on, matcher as
-  /// given (the pre-strategy-seam call sites and tests).
-  MetadataPlane(db::Database* database, size_t num_shards,
-                bool use_type_matcher);
+                bool exact_strategy);
 
   MetadataPlane(const MetadataPlane&) = delete;
   MetadataPlane& operator=(const MetadataPlane&) = delete;
@@ -92,8 +87,6 @@ class MetadataPlane {
   size_t ShardOfType(uint64_t type_id) const {
     return type_id % shards_.size();
   }
-  bool use_type_matcher() const { return strategy_.compiled; }
-  const StrategyConfig& strategy() const { return strategy_; }
 
   /// Offline registration: declare a query type (routed by its
   /// template's type_id).
@@ -222,7 +215,7 @@ class MetadataPlane {
       const std::function<void(size_t, const QueryType&)>& fn) const;
 
   db::Database* database_;
-  StrategyConfig strategy_;
+  bool exact_strategy_;
   std::vector<std::unique_ptr<ShardSlot>> shards_;
   /// Plane-global count of types ever created, shared with every shard's
   /// registry so discovered-type names are shard-count-invariant.

@@ -49,15 +49,6 @@ struct InvalidatorOptions {
   /// Overload control: the adaptive degradation ladder that keeps cache
   /// staleness bounded under update storms (disabled by default).
   OverloadOptions overload;
-  /// Compile each query type's template into per-table predicates and
-  /// index the bind values of its live instances, so a delta tuple probes
-  /// the index for the exact candidate instance set instead of
-  /// substituting every instance's WHERE AST (Section 4.2's type-level
-  /// group processing). Excluded instances are provably unaffected;
-  /// candidates fall through to the regular ImpactAnalyzer, so decisions
-  /// and StatsReport() are byte-identical with this off (the ablation
-  /// baseline / differential-test oracle).
-  bool use_type_matcher = true;
   /// Allow the exact single-table strategy tier: eligible templates
   /// (single FROM table, no aggregation/self-join, WHERE decidable from
   /// one row under 3VL, all references schema-resolved) are invalidated
@@ -66,18 +57,6 @@ struct InvalidatorOptions {
   /// path (DESIGN.md §16). Off = every type lands on the tier it had
   /// before the strategy seam existed (the differential-test oracle).
   bool exact_strategy = true;
-  /// Run the compiled matcher's candidate discovery column-wise: each
-  /// cycle materializes the merged delta views as typed column batches
-  /// and every (type, table) anchor is evaluated over a whole column in
-  /// one call — tight per-entry kernels when a type has few instances,
-  /// sorted-key merges against the bind index's sorted maps when it has
-  /// many — instead of one BindIndex::Probe per tuple. Instances none of
-  /// the cycle's tuples can affect skip the analysis fan-out entirely.
-  /// Candidate sets (and therefore decisions, summaries, and
-  /// StatsReport()) are byte-identical with this off; only MatcherStats'
-  /// batch counters and wall-clock time differ. Ignored unless
-  /// use_type_matcher is on.
-  bool batch_impact = true;
   /// Merge the residual polls of instances sharing a query type and a
   /// polling target into one disjunctive polling query per chunk,
   /// demultiplexing the result rows per instance in-process — O(types)
@@ -92,9 +71,8 @@ struct InvalidatorOptions {
   size_t consolidated_poll_chunk = 64;
 };
 
-/// Counters of the compiled matching layer (kept out of StatsReport so
-/// the report stays byte-identical between the indexed and interpreted
-/// paths — the differential test diffs the strings).
+/// Counters of the compiled matching layer (kept out of StatsReport,
+/// which holds only the decision counters the differential tests diff).
 struct MatcherStats {
   uint64_t types_compiled = 0;   // Templates analyzed.
   uint64_t types_handled = 0;    // ... that produced >= 1 anchor.

@@ -164,14 +164,10 @@ Status IngestStage::Run(CycleContext& ctx) {
 
   // Columnar materialization of the merged views (parallel by index),
   // built once here and probed whole-column per (type, table) anchor by
-  // ImpactStage. Borrows the same rows as `merged`. Gated on the plane's
-  // strategy config (the options resolved once at construction) — the
-  // stages read strategy knobs from one place, not scattered booleans.
-  if (env_.plane->strategy().compiled && env_.plane->strategy().batch) {
-    ctx.batch_columns.reserve(ctx.merged.size());
-    for (const TableTuples& view : ctx.merged) {
-      ctx.batch_columns.push_back(sql::ColumnBatch::FromRows(view.tuples));
-    }
+  // ImpactStage. Borrows the same rows as `merged`.
+  ctx.batch_columns.reserve(ctx.merged.size());
+  for (const TableTuples& view : ctx.merged) {
+    ctx.batch_columns.push_back(sql::ColumnBatch::FromRows(view.tuples));
   }
 
   ctx.proceed = true;
@@ -181,21 +177,6 @@ Status IngestStage::Run(CycleContext& ctx) {
 // ---------------------------------------------------------------------------
 // ImpactStage
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Index-probe result for one (query type, delta table): per-instance
-/// candidate tuple lists plus the tuples every instance must consider
-/// (NULL/boolean column values). Built serially under the type's shard
-/// lock, read-only in the fan-out. Both lists are ascending and
-/// duplicate-free, so a sorted merge reconstructs each instance's
-/// candidate tuples in delta order.
-struct TableProbe {
-  std::vector<uint32_t> all_tuples;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> per_id;
-};
-
-}  // namespace
 
 Status ImpactStage::Run(CycleContext& ctx) {
   MetadataPlane& plane = *env_.plane;
@@ -228,9 +209,6 @@ Status ImpactStage::Run(CycleContext& ctx) {
   }
 
   // ---- Impact analysis (Section 4.1.2's grouping). ----
-  const bool batch = plane.strategy().compiled && plane.strategy().batch &&
-                     ctx.batch_columns.size() == ctx.merged.size();
-
   // Exact-tier types (DESIGN.md §16): candidates come from the same
   // bind-index probes and partition as every compiled type; only the
   // verdict differs — decided from the delta's row images, with no
@@ -245,140 +223,59 @@ Status ImpactStage::Run(CycleContext& ctx) {
     }
   }
 
-  // Serial pre-pass of the interpreted/scalar path: snapshot the
-  // per-instance work list. The snapshot's QueryInstance pointers stay
-  // valid without holding shard locks: instances are node-mapped and
-  // only the cycle thread (IngestStage, DeliverStage) erases them.
-  // Registration may insert concurrently; inserts never move nodes. The
-  // columnar path builds its (much smaller) work list type by type after
-  // the probes instead.
-  std::vector<InstanceAnalysis>& work = ctx.work;
-  if (!batch) {
-    ctx.work.reserve(plane.NumInstances());
-    plane.ForEachInstance([&](const QueryType& type,
-                              const QueryInstance& instance) {
-      InstanceAnalysis analysis;
-      analysis.type_id = type.type_id;
-      analysis.instance_id = instance.instance_id;
-      analysis.instance = &instance;
-      analysis.exact = exact_types.count(type.type_id) > 0;
-      ctx.work.push_back(std::move(analysis));
-    });
-  }
+  // ---- Candidate discovery: one whole-column probe per covered (type,
+  // table) pair, producing per-instance candidate row lists plus the
+  // rows every instance must consider (the anchored column's NULL /
+  // boolean / NaN / missing cells, and every row when the column index
+  // is beyond the batch width). Instances absent from every list are
+  // provably unaffected — the partition below skips them entirely.
+  // Enumerates TYPES, not instances, each under its shard lock, so a
+  // concurrent registration of the same type is serialized (and keeps
+  // the live/indexed counts in step — both change under the same lock).
+  // Probes are read-only in the fan-out.
+  std::map<std::pair<uint64_t, size_t>, BindIndex::BatchProbe> probes;
 
-  // ---- Index probe phase: each delta tuple probes the bind index once
-  // per covered (type, table), producing per-instance candidate tuple
-  // lists. Instances absent from every list are provably unaffected —
-  // the fan-out below skips their AST work entirely. Runs type by type
-  // under that type's shard lock, so a concurrent registration of the
-  // same type is serialized (and keeps the live/indexed counts in step —
-  // both change under the same lock).
-  std::map<std::pair<uint64_t, size_t>, TableProbe> probes;
-
-  /// Per-type snapshot driving the columnar partition: the live instance
-  /// count is captured under the type's shard lock at probe time, so it
-  /// is consistent with the probes' candidate sets.
+  /// Per-type snapshot driving the partition: the live instance count is
+  /// captured under the type's shard lock at probe time, so it is
+  /// consistent with the probes' candidate sets.
   struct TypeBlock {
     uint64_t type_id = 0;
     const QueryType* type = nullptr;
     size_t live = 0;
   };
   std::vector<TypeBlock> blocks;  // Ascending type_id — the scan order.
-
-  if (batch) {
-    // Columnar path: enumerate TYPES, not instances. One whole-column
-    // probe per (type, table) pair; the anchored column's kAlways rows
-    // (NULL / boolean / NaN / missing cells, and every row when the
-    // column index is beyond the batch width) come back as all_rows —
-    // exactly the per-tuple probe's `all` answers.
-    plane.ForEachType([&](const QueryType& type) {
-      blocks.push_back({type.type_id, &type, 0});
-    });
-    for (TypeBlock& block : blocks) {
-      plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
-        block.live = shard.registry.NumInstancesOfType(block.type_id);
-        if (block.live == 0) return;
-        auto matcher_it = shard.matchers.find(block.type_id);
-        if (matcher_it == shard.matchers.end() ||
-            !matcher_it->second.handled()) {
-          return;
-        }
-        // Exclusion is only sound if every live instance of the type is
-        // indexed; a mismatch (cannot happen while all registrations and
-        // retirements flow through the plane) falls back to the
-        // interpreted path for the whole type.
-        if (shard.bind_index.IndexedCountOfType(block.type_id) !=
-            block.live) {
-          return;
-        }
-        for (size_t t = 0; t < ctx.merged.size(); ++t) {
-          const CompiledAnchor* anchor =
-              matcher_it->second.AnchorFor(ctx.merged[t].table);
-          if (anchor == nullptr) continue;
-          env_.cycle_matcher_stats->probes += ctx.merged[t].tuples.size();
-          ++env_.cycle_matcher_stats->batch_probes;
-          BindIndex::BatchProbe batch_probe;
-          shard.bind_index.ProbeBatch(
-              block.type_id, ctx.merged[t].table, *anchor,
-              ctx.batch_columns[t].Column(anchor->column_index),
-              &batch_probe, env_.cycle_matcher_stats);
-          TableProbe probe;
-          probe.all_tuples = std::move(batch_probe.all_rows);
-          probe.per_id = std::move(batch_probe.per_id);
-          probes.emplace(std::make_pair(block.type_id, t),
-                         std::move(probe));
-        }
-      });
-    }
-  } else if (plane.use_type_matcher() && !work.empty()) {
-    std::vector<uint64_t> work_types;  // Distinct, in work (type) order.
-    for (const InstanceAnalysis& a : work) {
-      if (work_types.empty() || work_types.back() != a.type_id) {
-        work_types.push_back(a.type_id);
+  plane.ForEachType([&](const QueryType& type) {
+    blocks.push_back({type.type_id, &type, 0});
+  });
+  for (TypeBlock& block : blocks) {
+    plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
+      block.live = shard.registry.NumInstancesOfType(block.type_id);
+      if (block.live == 0) return;
+      auto matcher_it = shard.matchers.find(block.type_id);
+      if (matcher_it == shard.matchers.end() ||
+          !matcher_it->second.handled()) {
+        return;
       }
-    }
-    for (uint64_t type_id : work_types) {
-      if (exact_types.count(type_id) > 0) continue;
-      plane.WithShardOfType(type_id, [&](MetadataPlane::Shard& shard) {
-        auto matcher_it = shard.matchers.find(type_id);
-        if (matcher_it == shard.matchers.end() ||
-            !matcher_it->second.handled()) {
-          return;
-        }
-        // Same live/indexed cross-check as the columnar path above.
-        if (shard.bind_index.IndexedCountOfType(type_id) !=
-            shard.registry.NumInstancesOfType(type_id)) {
-          return;
-        }
-        for (size_t t = 0; t < ctx.merged.size(); ++t) {
-          const CompiledAnchor* anchor =
-              matcher_it->second.AnchorFor(ctx.merged[t].table);
-          if (anchor == nullptr) continue;
-          TableProbe probe;
-          for (uint32_t ti = 0; ti < ctx.merged[t].tuples.size(); ++ti) {
-            ++env_.cycle_matcher_stats->probes;
-            const db::Row& row = *ctx.merged[t].tuples[ti];
-            if (anchor->column_index >= row.size()) {
-              // Malformed row; the analyzer will report it. Everyone
-              // looks.
-              probe.all_tuples.push_back(ti);
-              continue;
-            }
-            BindIndex::Candidates candidates = shard.bind_index.Probe(
-                type_id, ctx.merged[t].table, *anchor,
-                row[anchor->column_index]);
-            if (candidates.all) {
-              probe.all_tuples.push_back(ti);
-              continue;
-            }
-            for (uint64_t id : candidates.ids) {
-              probe.per_id[id].push_back(ti);
-            }
-          }
-          probes.emplace(std::make_pair(type_id, t), std::move(probe));
-        }
-      });
-    }
+      // Exclusion is only sound if every live instance of the type is
+      // indexed; a mismatch (cannot happen while all registrations and
+      // retirements flow through the plane) falls back to the
+      // interpreted path for the whole type.
+      if (shard.bind_index.IndexedCountOfType(block.type_id) != block.live) {
+        return;
+      }
+      for (size_t t = 0; t < ctx.merged.size(); ++t) {
+        const CompiledAnchor* anchor =
+            matcher_it->second.AnchorFor(ctx.merged[t].table);
+        if (anchor == nullptr) continue;
+        env_.cycle_matcher_stats->probes += ctx.merged[t].tuples.size();
+        ++env_.cycle_matcher_stats->batch_probes;
+        shard.bind_index.ProbeBatch(
+            block.type_id, ctx.merged[t].table, *anchor,
+            ctx.batch_columns[t].Column(anchor->column_index),
+            &probes[std::make_pair(block.type_id, t)],
+            env_.cycle_matcher_stats);
+      }
+    });
   }
 
   // The multi-table soundness guard's input (see the fan-out below): how
@@ -394,21 +291,25 @@ Status ImpactStage::Run(CycleContext& ctx) {
     return n;
   };
 
-  // ---- Columnar partition: build the work list per type, skipping the
-  // fan-out — and the per-instance state entirely — for instances the
-  // probes proved unaffected. A type is eligible when no multi-table
-  // guard applies and every merged view either (a) has a probe whose
-  // all_tuples list is empty — then an instance absent from per_id would
-  // short-circuit that table with zero AST work — or (b) is a table
-  // outside the type's FROM list, which AnalyzeDelta dismisses without
-  // reading a tuple. An eligible type materializes only the candidates
-  // in some covering per_id (in SQL-text order, the scalar snapshot's
-  // order — polling order downstream depends on it); the rest fold into
-  // one aggregate record per type, merged below with counters identical
-  // to the scalar walk's. An ineligible type materializes everyone.
+  // ---- Partition: build the work list per type, skipping the fan-out —
+  // and the per-instance state entirely — for instances the probes
+  // proved unaffected. A type is eligible when no multi-table guard
+  // applies and every merged view either (a) has a probe whose all_rows
+  // list is empty — then an instance absent from per_id short-circuits
+  // that table with zero AST work — or (b) is a table outside the type's
+  // FROM list, which AnalyzeDelta dismisses without reading a tuple. An
+  // eligible type materializes only the candidates in some covering
+  // per_id, in SQL-text order (polling order downstream depends on it);
+  // the rest fold into one aggregate record per type, merged below. An
+  // ineligible type materializes everyone, in the same order.
   // Exact-tier types partition the same way: a non-candidate's WHERE is
   // definitely FALSE for every old and new row image in the batch, so
   // no membership can flip and no content can change.
+  //
+  // The work list's QueryInstance pointers stay valid without holding
+  // shard locks: instances are node-mapped and only the cycle thread
+  // (IngestStage, DeliverStage) erases them. Registration may insert
+  // concurrently; inserts never move nodes.
   struct SkippedBlock {
     uint64_t type_id = 0;
     uint64_t count = 0;           // Instances proven unaffected.
@@ -416,102 +317,98 @@ Status ImpactStage::Run(CycleContext& ctx) {
     uint64_t covered_views = 0;   // Tables short-circuited per instance.
   };
   std::vector<SkippedBlock> skipped;
-  if (batch) {
-    std::vector<const QueryInstance*> fetched;
-    for (const TypeBlock& block : blocks) {
-      if (block.live == 0) continue;
-      const bool exact = exact_types.count(block.type_id) > 0;
-      const sql::SelectStatement* statement = block.type->tmpl.statement.get();
+  std::vector<InstanceAnalysis>& work = ctx.work;
+  std::vector<const QueryInstance*> fetched;
+  for (const TypeBlock& block : blocks) {
+    if (block.live == 0) continue;
+    const bool exact = exact_types.count(block.type_id) > 0;
+    const sql::SelectStatement* statement = block.type->tmpl.statement.get();
 
-      std::vector<const TableProbe*> covering(ctx.merged.size(), nullptr);
-      uint64_t covered_tuples = 0;
-      uint64_t covered_views = 0;
-      bool eligible =
-          statement != nullptr && count_delta_tables(*statement) < 2;
-      if (eligible) {
-        for (size_t t = 0; eligible && t < ctx.merged.size(); ++t) {
-          auto probe_it = probes.find(std::make_pair(block.type_id, t));
-          if (probe_it != probes.end()) {
-            if (!probe_it->second.all_tuples.empty()) {
-              eligible = false;  // Some tuples reach every instance.
-              break;
-            }
-            covering[t] = &probe_it->second;
-            covered_tuples += ctx.merged[t].tuples.size();
-            ++covered_views;
-            continue;
+    std::vector<const BindIndex::BatchProbe*> covering(ctx.merged.size(),
+                                                       nullptr);
+    uint64_t covered_tuples = 0;
+    uint64_t covered_views = 0;
+    bool eligible =
+        statement != nullptr && count_delta_tables(*statement) < 2;
+    if (eligible) {
+      for (size_t t = 0; eligible && t < ctx.merged.size(); ++t) {
+        auto probe_it = probes.find(std::make_pair(block.type_id, t));
+        if (probe_it != probes.end()) {
+          if (!probe_it->second.all_rows.empty()) {
+            eligible = false;  // Some tuples reach every instance.
+            break;
           }
-          // Uncovered view: only harmless when the table is not in the
-          // type's FROM list (identical for every instance of the type).
-          for (const sql::TableRef& ref : statement->from) {
-            if (AsciiToLower(ref.table) == ctx.merged[t].table) {
-              eligible = false;
-              break;
-            }
+          covering[t] = &probe_it->second;
+          covered_tuples += ctx.merged[t].tuples.size();
+          ++covered_views;
+          continue;
+        }
+        // Uncovered view: only harmless when the table is not in the
+        // type's FROM list (identical for every instance of the type).
+        for (const sql::TableRef& ref : statement->from) {
+          if (AsciiToLower(ref.table) == ctx.merged[t].table) {
+            eligible = false;
+            break;
           }
         }
       }
+    }
 
-      if (!eligible) {
-        plane.WithShardOfType(
-            block.type_id, [&](MetadataPlane::Shard& shard) {
-              shard.registry.ForEachInstanceOfType(
-                  block.type_id, [&](const QueryInstance& instance) {
-                    InstanceAnalysis analysis;
-                    analysis.type_id = block.type_id;
-                    analysis.instance_id = instance.instance_id;
-                    analysis.instance = &instance;
-                    analysis.exact = exact;
-                    work.push_back(std::move(analysis));
-                  });
+    if (!eligible) {
+      plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
+        shard.registry.ForEachInstanceOfType(
+            block.type_id, [&](const QueryInstance& instance) {
+              InstanceAnalysis analysis;
+              analysis.type_id = block.type_id;
+              analysis.instance_id = instance.instance_id;
+              analysis.instance = &instance;
+              analysis.exact = exact;
+              work.push_back(std::move(analysis));
             });
-        continue;
-      }
+      });
+      continue;
+    }
 
-      // Candidates: the union of the covering probes' per_id keys. Every
-      // key is a live indexed instance of this type, so the remainder —
-      // live minus candidates — is exactly the skipped population.
-      std::vector<uint64_t> candidate_ids;
-      for (size_t t = 0; t < ctx.merged.size(); ++t) {
-        if (covering[t] == nullptr) continue;
-        for (const auto& [id, rows] : covering[t]->per_id) {
-          candidate_ids.push_back(id);
+    // Candidates: the union of the covering probes' per_id keys. Every
+    // key is a live indexed instance of this type, so the remainder —
+    // live minus candidates — is exactly the skipped population.
+    std::vector<uint64_t> candidate_ids;
+    for (size_t t = 0; t < ctx.merged.size(); ++t) {
+      if (covering[t] == nullptr) continue;
+      for (const auto& [id, rows] : covering[t]->per_id) {
+        candidate_ids.push_back(id);
+      }
+    }
+    std::sort(candidate_ids.begin(), candidate_ids.end());
+    candidate_ids.erase(
+        std::unique(candidate_ids.begin(), candidate_ids.end()),
+        candidate_ids.end());
+    fetched.clear();
+    if (!candidate_ids.empty()) {
+      plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
+        for (uint64_t id : candidate_ids) {
+          const QueryInstance* instance = shard.registry.FindInstanceById(id);
+          if (instance != nullptr && instance->type_id == block.type_id) {
+            fetched.push_back(instance);
+          }
         }
+      });
+      std::sort(fetched.begin(), fetched.end(),
+                [](const QueryInstance* a, const QueryInstance* b) {
+                  return a->sql < b->sql;
+                });
+      for (const QueryInstance* instance : fetched) {
+        InstanceAnalysis analysis;
+        analysis.type_id = block.type_id;
+        analysis.instance_id = instance->instance_id;
+        analysis.instance = instance;
+        analysis.exact = exact;
+        work.push_back(std::move(analysis));
       }
-      std::sort(candidate_ids.begin(), candidate_ids.end());
-      candidate_ids.erase(
-          std::unique(candidate_ids.begin(), candidate_ids.end()),
-          candidate_ids.end());
-      fetched.clear();
-      if (!candidate_ids.empty()) {
-        plane.WithShardOfType(
-            block.type_id, [&](MetadataPlane::Shard& shard) {
-              for (uint64_t id : candidate_ids) {
-                const QueryInstance* instance =
-                    shard.registry.FindInstanceById(id);
-                if (instance != nullptr &&
-                    instance->type_id == block.type_id) {
-                  fetched.push_back(instance);
-                }
-              }
-            });
-        std::sort(fetched.begin(), fetched.end(),
-                  [](const QueryInstance* a, const QueryInstance* b) {
-                    return a->sql < b->sql;
-                  });
-        for (const QueryInstance* instance : fetched) {
-          InstanceAnalysis analysis;
-          analysis.type_id = block.type_id;
-          analysis.instance_id = instance->instance_id;
-          analysis.instance = instance;
-          analysis.exact = exact;
-          work.push_back(std::move(analysis));
-        }
-      }
-      if (block.live > fetched.size()) {
-        skipped.push_back({block.type_id, block.live - fetched.size(),
-                           covered_tuples, covered_views});
-      }
+    }
+    if (block.live > fetched.size()) {
+      skipped.push_back({block.type_id, block.live - fetched.size(),
+                         covered_tuples, covered_views});
     }
   }
 
@@ -587,21 +484,21 @@ Status ImpactStage::Run(CycleContext& ctx) {
       if (probe_it != probes.end()) {
         // Sorted-merge the tuples every instance must see with this
         // instance's candidates: delta order is preserved, so verdicts
-        // and polling SQL match the interpreted path byte for byte.
-        const TableProbe& probe = probe_it->second;
+        // and polling SQL match an unpruned analysis byte for byte.
+        const BindIndex::BatchProbe& probe = probe_it->second;
         auto own_it = probe.per_id.find(a.instance_id);
         static const std::vector<uint32_t> kNone;
         const std::vector<uint32_t>& own =
             own_it == probe.per_id.end() ? kNone : own_it->second;
         subset.clear();
-        subset.reserve(probe.all_tuples.size() + own.size());
+        subset.reserve(probe.all_rows.size() + own.size());
         size_t x = 0;
         size_t y = 0;
-        while (x < probe.all_tuples.size() || y < own.size()) {
+        while (x < probe.all_rows.size() || y < own.size()) {
           uint32_t next;
           if (y >= own.size() ||
-              (x < probe.all_tuples.size() && probe.all_tuples[x] < own[y])) {
-            next = probe.all_tuples[x++];
+              (x < probe.all_rows.size() && probe.all_rows[x] < own[y])) {
+            next = probe.all_rows[x++];
           } else {
             next = own[y++];
           }
@@ -675,7 +572,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
     a.affected_pages = env_.map->NumPagesForQuery(instance.sql);
   });
 
-  // Serial merge, in snapshot order: fold verdicts into the lifetime and
+  // Serial merge, in work-list order: fold verdicts into the lifetime and
   // per-type stats and collect the polling tasks. Work is grouped by
   // type, so each type block merges under one brief shard lock —
   // identical results to the serial loop, at any shard count.
@@ -756,8 +653,8 @@ Status ImpactStage::Run(CycleContext& ctx) {
 
   // Fold the partition's fully-skipped type blocks: the columnar probes
   // short-circuited every table for `count` instances before any
-  // per-instance state existed. Record exactly what the scalar walk
-  // would have per instance — one check, every covered tuple excluded,
+  // per-instance state existed. Record exactly what a materialized
+  // instance would have — one check, every covered tuple excluded,
   // one short-circuit per covered table, verdict unaffected (check_time
   // zero; the fast path reads no clock). All the touched counters are
   // order-insensitive sums, so folding after the per-instance merge is

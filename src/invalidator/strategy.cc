@@ -98,16 +98,8 @@ const char* StrategyTierName(StrategyTier tier) {
   return "unknown";
 }
 
-StrategyConfig StrategyConfig::FromOptions(const InvalidatorOptions& options) {
-  StrategyConfig config;
-  config.exact = options.exact_strategy;
-  config.compiled = options.use_type_matcher;
-  config.batch = options.batch_impact;
-  return config;
-}
-
 TierDecision DecideTier(const QueryType& type, const db::Database& database,
-                        const StrategyConfig& config, bool matcher_handled,
+                        bool exact_strategy, bool matcher_handled,
                         const std::string& matcher_fallback) {
   TierDecision decision;
   const sql::SelectStatement* statement = type.tmpl.statement.get();
@@ -154,7 +146,7 @@ TierDecision DecideTier(const QueryType& type, const db::Database& database,
       }
       if (!resolved) {
         demotion = "unresolved column";
-      } else if (config.exact) {
+      } else if (exact_strategy) {
         decision.tier = StrategyTier::kExact;
         return decision;
       } else {
@@ -163,11 +155,6 @@ TierDecision DecideTier(const QueryType& type, const db::Database& database,
     }
   }
 
-  // Tier naming deliberately ignores config.compiled: the tier records
-  // what the matcher CAN do with the template, while the options decide
-  // which execution path actually runs — so StatsReport() (which prints
-  // the census) stays byte-identical between the compiled and
-  // interpreted paths, as the matcher differential suite asserts.
   if (matcher_handled) {
     decision.tier = StrategyTier::kCompiledBatch;
     decision.reason = demotion;

@@ -6,7 +6,6 @@
 
 #include "db/database.h"
 #include "db/delta.h"
-#include "invalidator/options.h"
 #include "invalidator/registry.h"
 
 namespace cacheportal::invalidator {
@@ -26,8 +25,7 @@ enum class StrategyTier : uint8_t {
   /// fall through to interpreted analysis and possibly polling.
   kCompiledBatch = 1,
   /// Per-instance interpreted impact analysis (substitute + fold), with
-  /// residuals polled. The ablation baseline and the refuge of templates
-  /// the matcher cannot anchor.
+  /// residuals polled: the refuge of templates the matcher cannot anchor.
   kInterpret = 2,
   /// Templates expected to residualize on most deltas (multi-table
   /// joins, self-joins): interpreted analysis whose usual outcome is a
@@ -37,18 +35,6 @@ enum class StrategyTier : uint8_t {
 
 /// "exact" / "compiled-batch" / "interpret" / "poll".
 const char* StrategyTierName(StrategyTier tier);
-
-/// Which strategy tiers the options allow. Selection collapses
-/// gracefully: with `exact` off every exact-eligible type lands where it
-/// would have before this layer existed; with `compiled` off everything
-/// non-exact interprets.
-struct StrategyConfig {
-  bool exact = true;     // InvalidatorOptions::exact_strategy.
-  bool compiled = true;  // InvalidatorOptions::use_type_matcher.
-  bool batch = true;     // InvalidatorOptions::batch_impact.
-
-  static StrategyConfig FromOptions(const InvalidatorOptions& options);
-};
 
 /// A tier assignment plus the census-facing reason. `reason` is empty for
 /// kExact and otherwise names the first disqualifier ("multi-table FROM",
@@ -60,13 +46,13 @@ struct TierDecision {
 };
 
 /// Assigns `type` its strategy tier. Deterministic in (template text,
-/// schema, config): independent of shard count, worker count, and
-/// registration order, so StatsReport() stays byte-identical across
-/// sharding sweeps. `matcher_handled` / `matcher_fallback` describe the
-/// compiled TypeMatcher's verdict for the same type (pass false/"" when
-/// compilation is disabled).
+/// schema, `exact_strategy`): independent of shard count, worker count,
+/// and registration order, so StatsReport() stays byte-identical across
+/// sharding sweeps. `exact_strategy` is InvalidatorOptions' switch for
+/// the exact tier; `matcher_handled` / `matcher_fallback` describe the
+/// compiled TypeMatcher's verdict for the same type.
 TierDecision DecideTier(const QueryType& type, const db::Database& database,
-                        const StrategyConfig& config, bool matcher_handled,
+                        bool exact_strategy, bool matcher_handled,
                         const std::string& matcher_fallback);
 
 /// The exact tier's per-cycle decision for one instance: true iff the

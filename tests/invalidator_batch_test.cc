@@ -1,6 +1,7 @@
-// Columnar batch impact analysis: ProbeBatch vs scalar Probe property
-// tests, the NaN bind-index regression, batch on/off differential
-// sweeps, and consolidated-poll accounting across chunk sizes.
+// Columnar batch impact analysis: ProbeBatch against a brute-force 3VL
+// oracle, the NaN bind-index regression, the differential sweep against
+// pinned outputs and the re-executing baseline, and consolidated-poll
+// accounting across chunk sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,13 +18,16 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "db/database.h"
+#include "invalidator/baseline.h"
 #include "invalidator/bind_index.h"
 #include "invalidator/invalidator.h"
 #include "invalidator/registry.h"
 #include "invalidator/type_matcher.h"
+#include "pinned_run.h"
 #include "server/jdbc.h"
 #include "sniffer/qiurl_map.h"
 #include "sql/column_batch.h"
+#include "sql/eval.h"
 #include "sql/template.h"
 
 namespace cacheportal::invalidator {
@@ -57,11 +61,14 @@ class FailingConnection : public server::Connection {
 };
 
 // ---------------------------------------------------------------------------
-// ProbeBatch vs per-tuple Probe: the columnar probe must reproduce the
-// scalar accumulation element for element, for every anchor relation,
-// on both the kernel path (few index entries) and the sorted-merge path
-// (many entries), across the full value zoo — NULL, booleans, strings,
-// duplicates, ±inf, -0.0, and NaN.
+// ProbeBatch vs a brute-force oracle: for every row and instance, the
+// instance's bound anchor conjunct is evaluated on the row's cell under
+// 3VL. The probe must keep every (row, instance) pair the conjunct does
+// not make definitely FALSE (soundness), and keep exactly those pairs
+// wherever neither the cell nor a bind is NULL, boolean or NaN — for
+// every anchor relation, on both the kernel path (few index entries) and
+// the sorted-merge path (many entries), across the full value zoo:
+// NULL, booleans, strings, duplicates, ±inf, -0.0, and NaN.
 // ---------------------------------------------------------------------------
 
 /// Compiles `sql` as the template of a fresh query type against `db`.
@@ -73,9 +80,9 @@ TypeMatcher CompileType(const db::Database& db, uint64_t type_id,
   return TypeMatcher::Compile(*type, db);
 }
 
-/// An instance of a hand-compiled type. AddInstance/Probe read only the
-/// IDs and the bindings, so no parsed statement is needed — and bindings
-/// can hold values SQL text cannot spell (NaN, ±inf, -0.0).
+/// An instance of a hand-compiled type. AddInstance reads only the IDs
+/// and the bindings, so no parsed statement is needed — and bindings can
+/// hold values SQL text cannot spell (NaN, ±inf, -0.0).
 QueryInstance MakeInstance(uint64_t instance_id, uint64_t type_id,
                            std::vector<Value> bindings) {
   QueryInstance instance;
@@ -110,7 +117,33 @@ Value RandomValue(Random& rng) {
   }
 }
 
-TEST(ProbeBatchPropertyTest, MatchesScalarProbeElementForElement) {
+/// Resolves every column reference to one cell (the templates below read
+/// only the anchored column).
+class CellResolver : public sql::ColumnResolver {
+ public:
+  explicit CellResolver(const Value& cell) : cell_(cell) {}
+  std::optional<Value> Resolve(const std::string&,
+                               const std::string&) const override {
+    return cell_;
+  }
+
+ private:
+  const Value& cell_;
+};
+
+/// A value the index decides exactly: not NULL, boolean or NaN.
+bool Decidable(const Value& v) {
+  return !v.is_null() && !v.is_bool() &&
+         !(v.is_numeric() && std::isnan(v.NumericAsDouble()));
+}
+
+/// True when `rows` ascends strictly (sorted, no duplicates).
+bool AscendingUnique(const std::vector<uint32_t>& rows) {
+  return std::adjacent_find(rows.begin(), rows.end(),
+                            std::greater_equal<uint32_t>()) == rows.end();
+}
+
+TEST(ProbeBatchPropertyTest, AgreesWithThreeValuedEvaluationOfTheAnchor) {
   const struct {
     const char* sql;
     size_t operands;
@@ -123,6 +156,19 @@ TEST(ProbeBatchPropertyTest, MatchesScalarProbeElementForElement) {
       {"SELECT * FROM T WHERE c BETWEEN 1 AND 2", 2},
       {"SELECT * FROM T WHERE c IN (1, 2, 3)", 3},
   };
+  /// One instance: its id, bindings, and bound statement, whose WHERE is
+  /// exactly the anchor conjunct.
+  struct Bound {
+    uint64_t id = 0;
+    std::vector<Value> bindings;
+    std::unique_ptr<sql::SelectStatement> statement;
+  };
+  struct Case {
+    uint64_t type_id = 0;
+    TypeMatcher matcher;
+    std::vector<Bound> instances;
+  };
+  uint64_t decided_pairs = 0;
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     SCOPED_TRACE(StrCat("seed=", seed));
     Random rng(seed);
@@ -134,27 +180,30 @@ TEST(ProbeBatchPropertyTest, MatchesScalarProbeElementForElement) {
             .ok());
 
     BindIndex index;
-    std::vector<std::pair<uint64_t, TypeMatcher>> matchers;
+    std::vector<Case> cases;
     uint64_t next_instance = 1;
-    uint64_t next_type = 1;
     for (const auto& c : kCases) {
       QueryType type;
-      TypeMatcher matcher = CompileType(db, next_type, c.sql, &type);
-      ASSERT_TRUE(matcher.handled()) << c.sql;
+      const uint64_t type_id = cases.size() + 1;
+      Case entry{type_id, CompileType(db, type_id, c.sql, &type), {}};
+      ASSERT_TRUE(entry.matcher.handled()) << c.sql;
       // 3 entries stays on the per-entry kernel path, 12 crosses the
       // sorted-merge threshold.
       size_t count = rng.OneIn(0.5) ? 3 : 12;
       for (size_t i = 0; i < count; ++i) {
-        std::vector<Value> bindings;
+        Bound bound;
+        bound.id = next_instance++;
         for (size_t k = 0; k < c.operands; ++k) {
-          bindings.push_back(RandomValue(rng));
+          bound.bindings.push_back(RandomValue(rng));
         }
-        index.AddInstance(matcher,
-                          MakeInstance(next_instance++, next_type,
-                                       std::move(bindings)));
+        bound.statement =
+            sql::InstantiateTemplate(type.tmpl, bound.bindings).value();
+        ASSERT_NE(bound.statement->where, nullptr);
+        index.AddInstance(entry.matcher,
+                          MakeInstance(bound.id, type_id, bound.bindings));
+        entry.instances.push_back(std::move(bound));
       }
-      matchers.emplace_back(next_type, std::move(matcher));
-      ++next_type;
+      cases.push_back(std::move(entry));
     }
 
     size_t num_rows = 1 + rng.Uniform(60);
@@ -167,30 +216,51 @@ TEST(ProbeBatchPropertyTest, MatchesScalarProbeElementForElement) {
     for (const db::Row& row : rows) row_ptrs.push_back(&row);
     sql::ColumnBatch batch = sql::ColumnBatch::FromRows(row_ptrs);
 
-    for (const auto& [type_id, matcher] : matchers) {
-      SCOPED_TRACE(StrCat("type=", type_id));
-      const CompiledAnchor* anchor = matcher.AnchorFor("t");
+    for (const Case& entry : cases) {
+      SCOPED_TRACE(StrCat("type=", entry.type_id));
+      const CompiledAnchor* anchor = entry.matcher.AnchorFor("t");
       ASSERT_NE(anchor, nullptr);
-
-      BindIndex::BatchProbe expect;
-      for (uint32_t ti = 0; ti < rows.size(); ++ti) {
-        BindIndex::Candidates candidates =
-            index.Probe(type_id, "t", *anchor, rows[ti][anchor->column_index]);
-        if (candidates.all) {
-          expect.all_rows.push_back(ti);
-          continue;
-        }
-        for (uint64_t id : candidates.ids) expect.per_id[id].push_back(ti);
-      }
 
       BindIndex::BatchProbe got;
       MatcherStats stats;
-      index.ProbeBatch(type_id, "t", *anchor,
+      index.ProbeBatch(entry.type_id, "t", *anchor,
                        batch.Column(anchor->column_index), &got, &stats);
-      EXPECT_EQ(got.all_rows, expect.all_rows);
-      EXPECT_EQ(got.per_id, expect.per_id);
+      EXPECT_TRUE(AscendingUnique(got.all_rows));
+      const std::set<uint32_t> all(got.all_rows.begin(), got.all_rows.end());
+
+      for (const Bound& bound : entry.instances) {
+        std::set<uint32_t> own;
+        auto own_it = got.per_id.find(bound.id);
+        if (own_it != got.per_id.end()) {
+          EXPECT_FALSE(own_it->second.empty()) << "instance " << bound.id;
+          EXPECT_TRUE(AscendingUnique(own_it->second));
+          own.insert(own_it->second.begin(), own_it->second.end());
+        }
+        const bool binds_decidable = std::all_of(
+            bound.bindings.begin(), bound.bindings.end(), Decidable);
+        for (uint32_t ti = 0; ti < rows.size(); ++ti) {
+          const Value& cell = rows[ti][anchor->column_index];
+          Result<std::optional<bool>> verdict = sql::EvalPredicate(
+              *bound.statement->where, CellResolver(cell));
+          const bool maybe_true =
+              !verdict.ok() || !verdict->has_value() || **verdict;
+          const bool candidate = all.contains(ti) || own.contains(ti);
+          if (maybe_true) {
+            EXPECT_TRUE(candidate)
+                << "unsound exclusion: instance " << bound.id << " row "
+                << ti << " cell " << cell.ToSqlLiteral();
+          }
+          if (binds_decidable && Decidable(cell)) {
+            ++decided_pairs;
+            EXPECT_EQ(candidate, maybe_true)
+                << "instance " << bound.id << " row " << ti << " cell "
+                << cell.ToSqlLiteral();
+          }
+        }
+      }
     }
   }
+  EXPECT_GT(decided_pairs, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -209,13 +279,28 @@ class NaNBindTest : public ::testing::Test {
             .ok());
   }
 
+  /// Probes a one-row batch holding `tuple`.
+  BindIndex::BatchProbe ProbeRow(const BindIndex& index, uint64_t type_id,
+                                 const CompiledAnchor& anchor,
+                                 const Value& tuple) {
+    const db::Row row = {tuple};
+    sql::ColumnBatch batch = sql::ColumnBatch::FromRows({&row});
+    BindIndex::BatchProbe probe;
+    index.ProbeBatch(type_id, "t", anchor, batch.Column(anchor.column_index),
+                     &probe, nullptr);
+    return probe;
+  }
+
+  /// The candidate ids for a one-row batch holding `tuple`, ascending.
   std::vector<uint64_t> ProbeIds(const BindIndex& index, uint64_t type_id,
                                  const CompiledAnchor& anchor,
                                  const Value& tuple) {
-    BindIndex::Candidates candidates = index.Probe(type_id, "t", anchor, tuple);
-    EXPECT_FALSE(candidates.all);
-    std::sort(candidates.ids.begin(), candidates.ids.end());
-    return candidates.ids;
+    BindIndex::BatchProbe probe = ProbeRow(index, type_id, anchor, tuple);
+    EXPECT_TRUE(probe.all_rows.empty());
+    std::vector<uint64_t> ids;
+    for (const auto& [id, rows] : probe.per_id) ids.push_back(id);
+    std::sort(ids.begin(), ids.end());
+    return ids;
   }
 
   ManualClock clock_;
@@ -246,7 +331,8 @@ TEST_F(NaNBindTest, RangeNaNBindIsAlwaysCandidateAndMapStaysOrdered) {
   EXPECT_EQ(ProbeIds(index, 1, anchor, Value::Int(1000)),
             (std::vector<uint64_t>{2, 5}));
   // A NaN TUPLE value is unordered against every key: all candidates.
-  EXPECT_TRUE(index.Probe(1, "t", anchor, Value::Double(kNaN)).all);
+  EXPECT_EQ(ProbeRow(index, 1, anchor, Value::Double(kNaN)).all_rows,
+            (std::vector<uint32_t>{0}));
 
   // The always-routing must be fully removable (postings recorded).
   index.RemoveInstance(2);
@@ -300,9 +386,11 @@ TEST_F(NaNBindTest, EqInAndBetweenNaNBindsRouteToAlwaysLists) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch on/off differential sweep: the columnar pipeline must produce
-// byte-identical ejected pages, cycle summaries, and StatsReport() at
-// every (workers x shards) point, with the scalar path as the oracle.
+// Differential sweep: the columnar pipeline must produce byte-identical
+// ejected pages, cycle summaries, and StatsReport() at every
+// (workers x shards) point, equal to the outputs pinned below
+// (pinned_run.h), and eject a superset of what the re-executing
+// BaselineInvalidator finds stale in every round.
 // ---------------------------------------------------------------------------
 
 void CreateCarTables(db::Database* db) {
@@ -331,8 +419,7 @@ struct MatrixResult {
   std::string stats_report;
 };
 
-MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers,
-                              bool batch) {
+MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -356,7 +443,6 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers,
   InvalidatorOptions options;
   options.metadata_shards = shards;
   options.worker_threads = workers;
-  options.batch_impact = batch;
   options.max_polls_per_cycle = 3;  // Budget pressure: condemnations.
   options.polling_cache_capacity = 8;
   Invalidator inv(&db, &map, &clock, options);
@@ -400,9 +486,13 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers,
   };
   recache();
   inv.RunCycle().value();  // Register the pages; the log is quiet.
+  BaselineInvalidator baseline(&db, &map);
 
   MatrixResult result;
   for (int round = 0; round < 6; ++round) {
+    // Let the baseline snapshot the (re-)cached instances BEFORE the
+    // updates, so its diff covers exactly this round's changes.
+    baseline.RunCycle().value();
     for (int u = 0; u < 1 + static_cast<int>(rng.Uniform(3)); ++u) {
       switch (rng.Uniform(4)) {
         case 0:
@@ -430,8 +520,13 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers,
           break;
       }
     }
+    BaselineInvalidator::CycleResult truth = baseline.RunCycle().value();
     sink.invalidated.clear();
     CycleReport report = inv.RunCycle().value();
+    for (const std::string& page : truth.stale_pages) {
+      EXPECT_TRUE(sink.invalidated.contains(page))
+          << "round " << round << ": STALE RETENTION of '" << page << "'";
+    }
     result.cycle_invalidated.push_back(sink.invalidated);
     result.cycle_reports.push_back(ReportKey(report));
     recache();
@@ -441,24 +536,138 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers,
   return result;
 }
 
+// The per-tuple probe path's outputs, seeds 1-11, at shards=1,
+// workers=1: per-round ejects and ReportKey()s.
+const PinnedRun kScalarRuns[] = {
+    {1,
+     {{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22},
+      {16, 17, 18, 19, 20, 21, 22},
+      {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 19, 20, 21, 22},
+      {}, {}, {0, 3, 4, 7, 8, 9, 10, 12, 13, 14, 15, 22}},
+     {"3/0/23/19/0/0/0/19/normal", "1/0/23/7/3/0/1/7/normal",
+      "13/0/23/20/0/4/0/20/normal", "0/0/0/0/0/0/0/0/normal",
+      "0/0/0/0/0/0/0/0/normal", "2/0/23/12/0/1/0/12/normal"},
+     0x42aad62c3a5a1497},
+    {2,
+     {{0, 2, 3, 4, 5, 6, 7, 12, 13, 22, 23}, {}, {16, 23},
+      {2, 4, 7, 8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22, 23},
+      {3, 6, 7, 8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22, 23},
+      {0, 1, 4, 5, 6, 7, 12, 13, 14, 22, 23}},
+     {"7/0/24/11/0/2/0/11/normal", "0/0/0/0/0/0/0/0/normal",
+      "1/0/24/2/3/0/1/2/normal", "3/0/24/15/0/0/0/15/normal",
+      "2/0/24/15/0/0/0/15/normal", "3/0/24/11/0/2/0/11/normal"},
+     0xb009e3c9f73f2dff},
+    {3,
+     {{1, 8, 9, 10, 11, 12, 20, 21, 22, 23}, {16, 17, 18, 19, 20, 21, 22, 23},
+      {1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 21, 22, 23},
+      {0, 4, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 20, 21, 22, 23},
+      {0, 1, 3, 4, 5, 6, 10, 12}, {1, 4, 6, 7, 10, 12, 15, 20, 21, 22, 23}},
+     {"1/0/24/10/0/4/0/10/normal", "2/0/24/8/3/0/1/8/normal",
+      "2/0/24/16/0/4/0/16/normal", "3/0/24/18/0/0/0/18/normal",
+      "4/0/24/8/0/0/0/8/normal", "3/0/24/11/0/0/0/11/normal"},
+     0x24595b4663120adf},
+    {4,
+     {{16, 17, 18, 19, 20, 21, 22, 23},
+      {0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 20, 21, 23},
+      {16, 17, 18, 19, 20, 21, 22, 23}, {16, 17, 18, 20, 21, 22, 23},
+      {0, 4, 7, 10, 12, 13, 15}, {1, 4, 7, 9, 10, 12, 13, 14, 15}},
+     {"3/0/24/8/3/0/1/8/normal", "4/0/24/16/0/3/0/16/normal",
+      "2/0/24/8/3/0/1/8/normal", "1/0/24/7/3/0/1/7/normal",
+      "2/0/24/7/0/0/0/7/normal", "1/0/24/9/0/2/0/9/normal"},
+     0xcc5858fae80d9a53},
+    {5,
+     {{15, 16, 17, 18, 19, 20, 21, 22}, {15, 16, 17, 18, 19, 20, 21, 22},
+      {15, 16, 17, 18, 19, 20, 21, 22}, {15, 16, 17, 18, 19, 20, 21, 22},
+      {2, 8, 9, 10, 11, 12, 13, 14, 20, 21}, {}},
+     {"1/0/23/8/3/0/1/8/normal", "2/0/23/8/3/0/1/8/normal",
+      "2/0/23/8/3/0/1/8/normal", "1/0/23/8/3/0/1/8/normal",
+      "1/0/23/10/0/2/0/10/normal", "0/0/0/0/0/0/0/0/normal"},
+     0x7a47c441c8577ce8},
+    {6,
+     {{0, 8, 9, 10, 11, 12, 13, 14, 16, 17, 19, 20, 21, 22},
+      {0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 15}, {}, {},
+      {1, 5, 6, 7, 8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22},
+      {3, 4, 7, 9, 10, 12, 13, 14, 15}},
+     {"2/0/23/14/0/0/0/14/normal", "8/0/23/13/0/0/0/13/normal",
+      "0/0/0/0/0/0/0/0/normal", "0/0/0/0/0/0/0/0/normal",
+      "5/0/23/15/0/0/0/15/normal", "2/0/23/9/0/2/0/9/normal"},
+     0x7aed0f9fbef917be},
+    {7,
+     {{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 20, 21, 22, 23},
+      {1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 20, 21, 22, 23},
+      {0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15, 21, 22, 23},
+      {3, 11, 12, 16, 17, 18, 20, 21, 22, 23},
+      {2, 4, 8, 9, 10, 11, 12, 20, 21, 22, 23},
+      {16, 17, 18, 19, 20, 21, 22, 23}},
+     {"2/0/24/18/0/4/0/18/normal", "2/0/24/18/0/4/0/18/normal",
+      "10/0/24/18/0/4/0/18/normal", "2/0/24/10/0/0/0/10/normal",
+      "1/0/24/11/0/4/0/11/normal", "2/0/24/8/3/0/1/8/normal"},
+     0x883de7cc071f18d8},
+    {8,
+     {{2, 4, 10, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23},
+      {3, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23},
+      {3, 4, 5, 6, 7, 13, 15, 16, 17, 18, 20, 21, 22, 23}, {16, 17, 18, 22, 23},
+      {}, {3, 5, 6, 7, 10, 12, 13, 15}},
+     {"2/0/24/13/0/0/0/13/normal", "3/0/24/17/0/0/0/17/normal",
+      "3/0/24/14/0/0/0/14/normal", "1/0/24/5/3/0/1/5/normal",
+      "0/0/0/0/0/0/0/0/normal", "2/0/24/8/0/0/0/8/normal"},
+     0x722f452566665d10},
+    {9,
+     {{16, 20, 21, 22, 23}, {0, 1, 2, 4, 5, 6, 7, 15, 16, 20, 21, 22, 23},
+      {0, 1, 2, 4, 5, 6, 7, 8, 10, 11, 12, 13, 15, 20, 21, 23}, {},
+      {16, 17, 18, 19, 20, 21, 22, 23}, {16, 17, 18, 19, 20, 21, 22, 23}},
+     {"1/0/24/5/3/0/1/5/normal", "6/0/24/13/0/0/0/13/normal",
+      "3/0/24/16/0/3/0/16/normal", "0/0/0/0/0/0/0/0/normal",
+      "1/0/24/8/3/0/1/8/normal", "1/0/24/8/3/0/1/8/normal"},
+     0x62f8c70484d546ad},
+    {10,
+     {{1, 3, 4, 5, 9, 10}, {}, {5, 9, 10},
+      {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21},
+      {14, 15, 16, 17, 18, 19, 20, 21}, {14, 15, 16, 17, 18, 19, 20, 21}},
+     {"1/0/22/6/0/0/0/6/normal", "0/0/0/0/0/0/0/0/normal",
+      "1/0/22/3/0/0/0/3/normal", "2/0/22/20/0/0/0/20/normal",
+      "1/0/22/8/3/0/1/8/normal", "4/0/22/8/3/0/1/8/normal"},
+     0x43bc5a3d69f4d4e4},
+    {11,
+     {{0, 1, 2, 3, 5, 6, 8, 11, 12, 20, 21, 22},
+      {3, 7, 8, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 21, 22},
+      {15, 16, 17, 18, 19, 20, 21, 22}, {15, 16, 17, 18, 19, 20, 21, 22},
+      {15, 16, 17, 18, 19, 20, 21, 22}, {3, 8, 11, 12, 13, 14, 19, 20, 21, 22}},
+     {"6/0/23/12/0/3/0/12/normal", "2/0/23/15/0/0/0/15/normal",
+      "4/0/23/8/3/0/1/8/normal", "1/0/23/8/3/0/1/8/normal",
+      "4/0/23/8/3/0/1/8/normal", "1/0/23/10/0/4/0/10/normal"},
+     0xfc994df8f78c31a1},
+};
+
+// Seed 1's full final StatsReport(), so a report mismatch is readable.
+constexpr char kSeed1Report[] = R"(invalidator: cycles=13 updates=19 checks=92 affected=49 unaffected=34 polls=3 idx-answered=5 poll-hits=3 conservative=1 emergency-flushes=0 pages-invalidated=58 messages-sent=58 send-failures=0
+  strategy: exact=5 compiled-batch=1 interpret=0 poll=0
+  strategy-demotions: 'multi-table FROM'=1
+  type 'discovered-5': instances=8 checks=12 affected=5 polls=0 inval-ratio=0.416667 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-2': instances=14 checks=16 affected=10 polls=0 inval-ratio=0.625 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-1': instances=11 checks=16 affected=7 polls=0 inval-ratio=0.4375 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-4': instances=16 checks=16 affected=12 polls=0 inval-ratio=0.75 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-3': instances=15 checks=16 affected=11 polls=0 inval-ratio=0.6875 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-6': instances=17 checks=16 affected=9 polls=4 inval-ratio=0.5625 avg-time-us=0 max-time-us=0 tier=compiled-batch
+)";
+
 class BatchDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(BatchDifferentialTest, BatchOnOffIsByteIdenticalAcrossTheMatrix) {
-  MatrixResult oracle = RunBatchScenario(GetParam(), 1, 1, /*batch=*/false);
+TEST_P(BatchDifferentialTest, ReproducesPinnedRunsAcrossTheMatrix) {
+  const PinnedRun& pinned = kScalarRuns[GetParam() - 1];
+  ASSERT_EQ(pinned.seed, GetParam());
   size_t total = 0;
-  for (const auto& cycle : oracle.cycle_invalidated) total += cycle.size();
+  for (const auto& cycle : pinned.ejected) total += cycle.size();
   EXPECT_GT(total, 0u);
 
-  for (bool batch : {false, true}) {
-    for (size_t shards : {1u, 4u}) {
-      for (size_t workers : {1u, 4u}) {
-        if (!batch && shards == 1 && workers == 1) continue;
-        SCOPED_TRACE(StrCat("batch=", batch, " shards=", shards,
-                            " workers=", workers));
-        MatrixResult got = RunBatchScenario(GetParam(), shards, workers, batch);
-        EXPECT_EQ(oracle.cycle_invalidated, got.cycle_invalidated);
-        EXPECT_EQ(oracle.cycle_reports, got.cycle_reports);
-        EXPECT_EQ(oracle.stats_report, got.stats_report);
+  for (size_t shards : {1u, 4u}) {
+    for (size_t workers : {1u, 4u}) {
+      SCOPED_TRACE(StrCat("shards=", shards, " workers=", workers));
+      MatrixResult got = RunBatchScenario(GetParam(), shards, workers);
+      ExpectReproduces(pinned, got.cycle_invalidated, got.cycle_reports,
+                       got.stats_report);
+      if (GetParam() == 1) {
+        EXPECT_EQ(got.stats_report, kSeed1Report);
       }
     }
   }
@@ -539,11 +748,12 @@ TEST(PollAccountingTest, ChunkSizeNeverChangesStatsReportOrEjections) {
 // ---------------------------------------------------------------------------
 // Large-world smoke: a single-table equality world at smoke scale (see
 // CACHEPORTAL_SMOKE_INSTANCES; the benchmark suite drives the same shape
-// to 10^6) — batch on and off must eject exactly the touched pages and
-// produce identical summaries.
+// to 10^6) — with the exact tier off (analysis of the probed candidates)
+// and on (row-image verdicts on the same candidates), the cycle must eject
+// exactly the touched pages and produce identical summaries.
 // ---------------------------------------------------------------------------
 
-TEST(BatchSmokeTest, LargeEqualityWorldIsIdenticalBatchOnAndOff) {
+TEST(BatchSmokeTest, LargeEqualityWorldEjectsExactlyTheTouchedPages) {
   size_t instances = 20000;
   if (const char* env = std::getenv("CACHEPORTAL_SMOKE_INSTANCES")) {
     instances = static_cast<size_t>(std::strtoull(env, nullptr, 10));
@@ -551,7 +761,8 @@ TEST(BatchSmokeTest, LargeEqualityWorldIsIdenticalBatchOnAndOff) {
   std::set<std::string> ejected[2];
   std::string reports[2];
   for (int pass = 0; pass < 2; ++pass) {
-    bool batch = pass == 1;
+    const bool exact = pass == 1;
+    SCOPED_TRACE(StrCat("exact_strategy=", exact));
     ManualClock clock;
     db::Database db(&clock);
     ASSERT_TRUE(
@@ -560,10 +771,7 @@ TEST(BatchSmokeTest, LargeEqualityWorldIsIdenticalBatchOnAndOff) {
             .ok());
     sniffer::QiUrlMap map;
     InvalidatorOptions options;
-    options.batch_impact = batch;
-    // The subject is the batch-probe machinery; the exact tier would
-    // otherwise claim these single-table equality types and bypass it.
-    options.exact_strategy = false;
+    options.exact_strategy = exact;
     Invalidator inv(&db, &map, &clock, options);
     RecordingSink sink;
     inv.AddSink(&sink);
@@ -584,10 +792,8 @@ TEST(BatchSmokeTest, LargeEqualityWorldIsIdenticalBatchOnAndOff) {
     EXPECT_EQ(sink.invalidated, expect);
     ejected[pass] = sink.invalidated;
     reports[pass] = ReportKey(report);
-    if (batch) {
-      EXPECT_GT(inv.matcher_stats().batch_probes, 0u);
-      EXPECT_GT(inv.matcher_stats().fast_path_instances, 0u);
-    }
+    EXPECT_GT(inv.matcher_stats().batch_probes, 0u);
+    EXPECT_GT(inv.matcher_stats().fast_path_instances, 0u);
   }
   EXPECT_EQ(ejected[0], ejected[1]);
   EXPECT_EQ(reports[0], reports[1]);

@@ -55,7 +55,6 @@ TEST(InvalidatorConcurrentTest, RegistrationStreamsWhileCyclesRun) {
   InvalidatorOptions options;
   options.metadata_shards = 4;
   options.worker_threads = 2;
-  options.use_type_matcher = true;
   Invalidator inv(&db, &map, &clock, options);
   ConcurrentRecordingSink sink;
   inv.AddSink(&sink);

@@ -11,6 +11,7 @@
 #include "invalidator/bind_index.h"
 #include "invalidator/invalidator.h"
 #include "invalidator/type_matcher.h"
+#include "pinned_run.h"
 #include "sniffer/qiurl_map.h"
 
 namespace cacheportal::invalidator {
@@ -27,10 +28,11 @@ class RecordingSink : public InvalidationSink {
 };
 
 // ---------------------------------------------------------------------------
-// Differential test: the compiled matcher (bind-value indexes) against the
-// interpreted path, on random workloads. The matcher is a pure pruning
-// layer: with it on or off, every cycle must eject the same pages and the
-// final StatsReport() must be byte-identical, at any worker count. The
+// Differential test: the compiled matcher (bind-value indexes) is a pure
+// pruning layer, so on random workloads every cycle must eject the pages
+// the interpreted walk ejected, with the same per-cycle summaries and a
+// byte-identical final StatsReport(), at any (workers x shards). The
+// interpreted walk's outputs are pinned as literals (pinned_run.h). The
 // workload is generated independently of the invalidator's behavior so the
 // runs are comparable.
 // ---------------------------------------------------------------------------
@@ -42,7 +44,7 @@ struct WorldResult {
   MatcherStats matcher;
 };
 
-WorldResult RunWorld(uint64_t seed, bool use_matcher, size_t workers,
+WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards,
                      bool consolidate) {
   Random rng(seed);
   ManualClock clock;
@@ -118,8 +120,8 @@ WorldResult RunWorld(uint64_t seed, bool use_matcher, size_t workers,
   sniffer::QiUrlMap map;
   RecordingSink sink;
   InvalidatorOptions options;
-  options.use_type_matcher = use_matcher;
   options.worker_threads = workers;
+  options.metadata_shards = shards;
   options.consolidate_polls = consolidate;
   Invalidator inv(&db, &map, &clock, options);
   inv.AddSink(&sink);
@@ -171,31 +173,104 @@ WorldResult RunWorld(uint64_t seed, bool use_matcher, size_t workers,
   return result;
 }
 
+// The interpreted walk's outputs, seeds 1-10: workers=1, consolidation
+// off. Summaries are the per-cycle fields RunWorld records.
+const PinnedRun kInterpretedWorlds[] = {
+    {1,
+     {{1, 2, 13}, {}, {0, 1, 2, 7, 9, 10, 12, 13}, {1}, {1, 2, 9}, {}},
+     {"3|14|12|3|2|0|3", "0|3|0|0|0|0|0", "4|0|12|6|0|0|8", "1|8|12|1|2|0|1",
+      "1|1|12|3|2|0|3", "0|3|0|0|0|0|0"},
+     0xe74977c29e80d618},
+    {2,
+     {{0, 9, 12}, {12}, {}, {0, 4, 9, 12}, {12}, {4, 7, 9}},
+     {"2|14|14|3|0|0|3", "1|3|14|1|0|0|1", "0|1|0|0|0|0|0", "3|0|14|4|0|0|4",
+      "1|4|14|1|0|0|1", "4|1|14|3|1|0|3"},
+     0x69fff8aa919ff69e},
+    {3,
+     {{2, 3, 4, 9}, {1, 2, 3, 5, 7, 9}, {2, 3, 5, 7, 9}, {}, {2, 7, 13}, {}},
+     {"1|14|13|3|1|0|4", "6|4|13|5|0|0|6", "4|6|13|4|0|0|5", "1|5|13|0|0|0|0",
+      "2|0|13|3|1|0|3", "0|3|0|0|0|0|0"},
+     0xb6d28786d25d6c40},
+    {4,
+     {{1}, {1, 8, 10, 11}, {0, 2, 5, 6, 10}, {0, 1, 2, 4, 9, 10, 13},
+      {1, 2, 4, 10, 12, 13}, {1, 10}},
+     {"1|14|13|1|0|0|1", "4|1|13|4|0|0|4", "1|4|13|5|0|0|5", "2|5|13|6|0|0|7",
+      "4|7|13|5|0|0|6", "3|6|13|2|0|0|2"},
+     0xb6f5842e1df7d225},
+    {5,
+     {{0, 1, 4, 5, 6, 9, 13}, {0, 1, 4, 5, 6, 13}, {0, 1, 4, 5, 6, 9, 13},
+      {1, 4, 5, 13}, {0, 1, 4, 5, 6, 13}, {1, 4, 5, 13}},
+     {"3|14|13|6|0|0|7", "6|7|13|5|0|0|6", "3|6|13|6|0|0|7", "2|7|13|3|0|0|4",
+      "3|4|13|5|0|0|6", "2|6|13|3|0|0|4"},
+     0x6e4e6f2551dfd8d1},
+    {6,
+     {{0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, {10, 12}, {},
+      {1, 5, 6, 8, 9, 11, 13}, {1, 8, 9, 10, 11, 12},
+      {1, 5, 6, 8, 9, 10, 11, 12, 13}},
+     {"7|14|12|11|0|0|13", "1|13|12|2|1|0|2", "0|2|0|0|0|0|0", "1|0|12|5|1|0|7",
+      "2|7|12|6|0|0|6", "2|6|12|7|0|0|9"},
+     0xe9064f2a5a073040},
+    {7,
+     {{0, 11, 13}, {0}, {}, {}, {}, {}},
+     {"8|14|12|2|0|0|3", "1|3|12|1|1|0|1", "2|1|12|0|1|0|0", "1|0|12|0|1|0|0",
+      "0|0|0|0|0|0|0", "0|0|0|0|0|0|0"},
+     0x405667eaf11ec7b1},
+    {8,
+     {{7, 12}, {}, {}, {3, 5, 8, 9, 13}, {3, 4, 5, 6, 7, 8, 9, 12, 13}, {}},
+     {"1|14|13|2|1|0|2", "0|2|0|0|0|0|0", "1|0|13|0|0|0|0", "1|0|13|4|1|0|5",
+      "9|5|13|8|0|0|9", "1|9|13|0|0|0|0"},
+     0xea3e81418309a2cc},
+    {9,
+     {{0, 2, 3, 7, 9, 10, 11, 12}, {}, {}, {0, 2, 3, 4, 7, 9, 10}, {},
+      {2, 3, 5, 6, 10}},
+     {"8|14|13|7|0|0|8", "0|8|0|0|0|0|0", "3|0|13|0|1|0|0", "4|0|13|6|0|0|7",
+      "2|7|13|0|0|0|0", "1|0|13|4|1|0|5"},
+     0xd064a095f8725966},
+    {10,
+     {{}, {1, 2, 9, 13}, {2, 3, 9}, {1, 2, 3, 4, 6, 7, 8, 9, 13}, {1, 13},
+      {1, 13}},
+     {"0|14|0|0|0|0|0", "2|0|10|3|0|0|4", "1|4|10|3|0|0|3", "11|3|10|5|0|0|9",
+      "2|9|10|1|0|0|2", "1|2|10|1|0|0|2"},
+     0xb330249ced2d7a3b},
+};
+
+// Seed 1's full final StatsReport(), so a report mismatch is readable.
+constexpr char kSeed1Report[] = R"(invalidator: cycles=6 updates=9 checks=48 affected=12 unaffected=30 polls=6 idx-answered=0 poll-hits=1 conservative=0 emergency-flushes=0 pages-invalidated=15 messages-sent=15 send-failures=0
+  strategy: exact=8 compiled-batch=1 interpret=0 poll=0
+  strategy-demotions: 'multi-table FROM'=1
+  type 'discovered-2': instances=5 checks=4 affected=4 polls=0 inval-ratio=1 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-3': instances=4 checks=4 affected=3 polls=0 inval-ratio=0.75 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-5': instances=2 checks=8 affected=0 polls=0 inval-ratio=0 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-1': instances=2 checks=4 affected=1 polls=0 inval-ratio=0.25 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-4': instances=1 checks=4 affected=0 polls=0 inval-ratio=0 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-9': instances=3 checks=4 affected=2 polls=0 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-7': instances=2 checks=8 affected=0 polls=0 inval-ratio=0 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-6': instances=1 checks=4 affected=0 polls=0 inval-ratio=0 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-8': instances=5 checks=8 affected=2 polls=6 inval-ratio=0.25 avg-time-us=0 max-time-us=0 tier=compiled-batch
+)";
+
 class MatcherDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(MatcherDifferentialTest, CompiledMatchesInterpretedAtAnyWorkerCount) {
+TEST_P(MatcherDifferentialTest, CompiledReproducesInterpretedAtAnyWorkerCount) {
   const uint64_t seed = GetParam();
-  WorldResult oracle = RunWorld(seed, /*use_matcher=*/false, /*workers=*/1,
-                                /*consolidate=*/false);
+  const PinnedRun& pinned = kInterpretedWorlds[seed - 1];
+  ASSERT_EQ(pinned.seed, seed);
   uint64_t total_excluded = 0;
-  for (size_t workers : {1u, 2u, 4u, 8u}) {
-    WorldResult compiled = RunWorld(seed, /*use_matcher=*/true, workers,
-                                    /*consolidate=*/false);
-    ASSERT_EQ(compiled.ejected.size(), oracle.ejected.size());
-    for (size_t c = 0; c < oracle.ejected.size(); ++c) {
-      EXPECT_EQ(compiled.ejected[c], oracle.ejected[c])
-          << "seed " << seed << " workers " << workers << " cycle " << c;
-      EXPECT_EQ(compiled.summaries[c], oracle.summaries[c])
-          << "seed " << seed << " workers " << workers << " cycle " << c;
+  for (size_t shards : {1u, 4u}) {
+    for (size_t workers : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(StrCat("seed ", seed, " shards ", shards, " workers ",
+                          workers));
+      WorldResult compiled = RunWorld(seed, workers, shards,
+                                      /*consolidate=*/false);
+      ExpectReproduces(pinned, compiled.ejected, compiled.summaries,
+                       compiled.final_report);
+      if (seed == 1) {
+        EXPECT_EQ(compiled.final_report, kSeed1Report);
+      }
+      EXPECT_GT(compiled.matcher.types_compiled, 0u);
+      total_excluded += compiled.matcher.tuples_excluded;
     }
-    EXPECT_EQ(compiled.final_report, oracle.final_report)
-        << "seed " << seed << " workers " << workers;
-    EXPECT_GT(compiled.matcher.types_compiled, 0u);
-    total_excluded += compiled.matcher.tuples_excluded;
   }
-  // The interpreted oracle never touches the matcher.
-  EXPECT_EQ(oracle.matcher.types_compiled, 0u);
-  EXPECT_EQ(oracle.matcher.tuples_excluded, 0u);
   // The suite as a whole must exercise real exclusions; individual seeds
   // may legitimately have none (all-fallback instance pools).
   RecordProperty("tuples_excluded", static_cast<int>(total_excluded));
@@ -203,9 +278,9 @@ TEST_P(MatcherDifferentialTest, CompiledMatchesInterpretedAtAnyWorkerCount) {
 
 TEST_P(MatcherDifferentialTest, ConsolidationPreservesEjectedPages) {
   const uint64_t seed = GetParam();
-  WorldResult separate = RunWorld(seed, /*use_matcher=*/true, /*workers=*/2,
+  WorldResult separate = RunWorld(seed, /*workers=*/2, /*shards=*/4,
                                   /*consolidate=*/false);
-  WorldResult merged = RunWorld(seed, /*use_matcher=*/true, /*workers=*/2,
+  WorldResult merged = RunWorld(seed, /*workers=*/2, /*shards=*/4,
                                 /*consolidate=*/true);
   ASSERT_EQ(merged.ejected.size(), separate.ejected.size());
   for (size_t c = 0; c < separate.ejected.size(); ++c) {

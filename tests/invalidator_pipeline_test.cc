@@ -15,6 +15,7 @@
 #include "invalidator/invalidator.h"
 #include "invalidator/metadata_plane.h"
 #include "invalidator/stages.h"
+#include "pinned_run.h"
 #include "sniffer/qiurl_map.h"
 
 namespace cacheportal::invalidator {
@@ -52,9 +53,8 @@ std::string ReportKey(const CycleReport& r) {
 
 // ---------------------------------------------------------------------------
 // Differential matrix: the staged/sharded pipeline must produce
-// byte-identical decisions at every (shards x workers) point. The oracle
-// is the shards=1, workers=1 configuration — the exact serial pipeline
-// the monolith ran (the pre-refactor suites pin ITS behavior).
+// byte-identical decisions at every (shards x workers) point, equal to
+// the interpreted walk's outputs pinned below (pinned_run.h).
 // ---------------------------------------------------------------------------
 
 struct MatrixResult {
@@ -63,8 +63,7 @@ struct MatrixResult {
   std::string stats_report;
 };
 
-MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers,
-                               bool matcher) {
+MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -88,7 +87,6 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers,
   InvalidatorOptions options;
   options.metadata_shards = shards;
   options.worker_threads = workers;
-  options.use_type_matcher = matcher;
   options.max_polls_per_cycle = 2;  // Budget pressure: condemnations.
   options.polling_cache_capacity = 8;
   Invalidator inv(&db, &map, &clock, options);
@@ -173,26 +171,113 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers,
   return result;
 }
 
+// The interpreted walk's outputs, seeds 1-11, at shards=1, workers=1:
+// per-round ejects and ReportKey()s.
+const PinnedRun kInterpretedRuns[] = {
+    {1,
+     {{0, 2, 3, 5, 6, 7, 8, 9}, {1, 2, 3, 4, 6, 7, 8, 9}, {}, {2, 7, 9}, {},
+      {0, 1, 2, 4, 5, 7, 9}},
+     {"3/0/10/8/0/0/0/8/normal", "12/0/10/8/0/0/0/8/normal",
+      "0/0/0/0/0/0/0/0/normal", "2/0/10/3/0/0/0/3/normal",
+      "0/0/0/0/0/0/0/0/normal", "3/0/10/7/0/2/0/7/normal"},
+     0x642e8892de447a01},
+    {2,
+     {{9}, {0, 4}, {0, 1, 2, 3, 4, 6, 7, 8, 9}, {3, 7, 8},
+      {0, 1, 2, 3, 6, 7, 8}, {0, 2, 3, 4, 5, 7, 8}},
+     {"1/0/9/1/0/0/0/1/normal", "1/0/9/2/0/1/0/2/normal",
+      "10/0/9/8/0/0/0/9/normal", "1/0/9/3/2/0/0/3/normal",
+      "3/0/9/6/0/0/0/7/normal", "2/0/9/7/0/0/0/7/normal"},
+     0x83f944c8a4ed5bee},
+    {3,
+     {{0, 1, 2, 5, 7}, {2, 3, 7, 8}, {2, 3, 7, 8, 9}, {0, 2, 4, 6, 7}, {1, 4},
+      {}},
+     {"2/0/10/5/0/2/0/5/normal", "2/0/10/4/2/0/0/4/normal",
+      "2/0/10/5/0/0/0/5/normal", "2/0/10/5/0/2/0/5/normal",
+      "1/0/10/2/0/0/0/2/normal", "0/0/0/0/0/0/0/0/normal"},
+     0xea5f5dc6365aa687},
+    {4,
+     {{3, 8}, {0, 1, 2, 7}, {}, {3, 8}, {0, 1, 2, 7}, {}},
+     {"2/0/10/2/2/0/0/2/normal", "1/0/10/4/0/2/0/4/normal",
+      "0/0/0/0/0/0/0/0/normal", "1/0/10/2/2/0/0/2/normal",
+      "1/0/10/4/0/2/0/4/normal", "0/0/0/0/0/0/0/0/normal"},
+     0x1239dce8b0139706},
+    {5,
+     {{1, 6}, {0, 1, 2, 4, 5, 6, 7}, {}, {0, 2, 5, 7}, {2, 3, 7, 8},
+      {2, 3, 7, 8}},
+     {"1/0/9/1/0/0/0/2/normal", "1/0/9/6/0/2/0/7/normal",
+      "1/0/9/0/0/1/0/0/normal", "2/0/9/4/0/0/0/4/normal",
+      "1/0/9/4/2/0/0/4/normal", "2/0/9/4/2/0/0/4/normal"},
+     0xe72cfb71a3b34696},
+    {6,
+     {{0, 1, 4, 5, 9}, {2, 3, 7, 8}, {0, 1, 2, 4, 5, 6, 7, 9},
+      {0, 1, 2, 4, 5, 7, 9}, {0, 1, 2, 5, 7}, {}},
+     {"1/0/9/4/0/2/0/5/normal", "1/0/9/4/2/0/0/4/normal",
+      "9/0/9/7/0/2/0/8/normal", "2/0/9/6/0/2/0/7/normal",
+      "1/0/9/5/0/2/0/5/normal", "0/0/0/0/0/0/0/0/normal"},
+     0x89d0c7a839cf74c1},
+    {7,
+     {{2, 3, 4, 5, 7, 8}, {1, 5, 6, 9}, {0, 2, 5, 7}, {2, 7}, {2, 7},
+      {0, 4, 5}},
+     {"2/0/8/5/0/0/0/6/normal", "4/0/8/3/0/0/0/4/normal",
+      "1/0/8/4/0/2/0/4/normal", "2/0/8/2/2/0/0/2/normal",
+      "2/0/8/2/2/0/0/2/normal", "1/0/8/3/0/2/0/3/normal"},
+     0x804230df41d722f3},
+    {8,
+     {{1, 2, 7}, {0, 1, 2, 3, 5, 7, 8}, {}, {0, 2, 7}, {2, 3, 7, 8}, {2, 7}},
+     {"2/0/9/3/0/0/0/3/normal", "3/0/9/7/0/0/0/7/normal",
+      "0/0/0/0/0/0/0/0/normal", "3/0/9/3/0/0/0/3/normal",
+      "3/0/9/4/2/0/0/4/normal", "1/0/9/2/2/0/0/2/normal"},
+     0x7ff930ff773b7de7},
+    {9,
+     {{1, 4, 9}, {2, 7, 8}, {0, 1, 2, 3, 5, 7, 8}, {2, 3, 7, 8}, {2, 7},
+      {0, 1, 4, 5, 9}},
+     {"5/0/10/3/0/0/0/3/normal", "2/0/10/3/2/0/0/3/normal",
+      "5/0/10/7/0/0/0/7/normal", "2/0/10/4/2/0/0/4/normal",
+      "2/0/10/2/0/2/0/2/normal", "2/0/10/5/0/2/0/5/normal"},
+     0x81656ec534cd8ae7},
+    {10,
+     {{2, 3, 7, 8}, {4, 6}, {0, 1, 5, 9}, {}, {}, {}},
+     {"3/0/10/4/2/0/0/4/normal", "2/0/10/2/0/1/0/2/normal",
+      "1/0/10/4/0/2/0/4/normal", "0/0/0/0/0/0/0/0/normal",
+      "0/0/0/0/0/0/0/0/normal", "0/0/0/0/0/0/0/0/normal"},
+     0xd7ab48f7bdd5db0b},
+    {11,
+     {{2, 3, 7}, {2, 3, 7, 8}, {1, 6, 7, 9}, {4, 6, 7}, {}, {2, 3, 7, 8}},
+     {"1/0/10/3/2/0/0/3/normal", "2/0/10/4/2/0/0/4/normal",
+      "5/0/10/4/0/1/0/4/normal", "2/0/10/3/0/1/0/3/normal",
+      "0/0/0/0/0/0/0/0/normal", "2/0/10/4/2/0/0/4/normal"},
+     0xcde0a08617c0b777},
+};
+
+// Seed 1's full final StatsReport(), so a report mismatch is readable.
+constexpr char kSeed1Report[] = R"(invalidator: cycles=13 updates=20 checks=40 affected=24 unaffected=14 polls=0 idx-answered=2 poll-hits=0 conservative=0 emergency-flushes=0 pages-invalidated=26 messages-sent=26 send-failures=0
+  strategy: exact=4 compiled-batch=1 interpret=0 poll=0
+  strategy-demotions: 'multi-table FROM'=1
+  type 'discovered-5': instances=8 checks=8 affected=6 polls=0 inval-ratio=0.75 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-4': instances=6 checks=8 affected=4 polls=0 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-2': instances=6 checks=8 affected=4 polls=0 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-1': instances=6 checks=8 affected=4 polls=0 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=exact
+  type 'discovered-3': instances=10 checks=8 affected=8 polls=0 inval-ratio=1 avg-time-us=0 max-time-us=0 tier=compiled-batch
+)";
+
 class PipelineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PipelineDifferentialTest, ShardAndWorkerCountsDoNotChangeDecisions) {
-  for (bool matcher : {false, true}) {
-    SCOPED_TRACE(StrCat("matcher=", matcher));
-    MatrixResult oracle = RunMatrixScenario(GetParam(), 1, 1, matcher);
-    // The scenario is non-trivial: something got invalidated.
-    size_t total = 0;
-    for (const auto& cycle : oracle.cycle_invalidated) total += cycle.size();
-    EXPECT_GT(total, 0u);
+  const PinnedRun& pinned = kInterpretedRuns[GetParam() - 1];
+  ASSERT_EQ(pinned.seed, GetParam());
+  // The scenario is non-trivial: something got invalidated.
+  size_t total = 0;
+  for (const auto& cycle : pinned.ejected) total += cycle.size();
+  EXPECT_GT(total, 0u);
 
-    for (size_t shards : {1u, 2u, 4u}) {
-      for (size_t workers : {1u, 4u}) {
-        if (shards == 1 && workers == 1) continue;
-        SCOPED_TRACE(StrCat("shards=", shards, " workers=", workers));
-        MatrixResult got = RunMatrixScenario(GetParam(), shards, workers,
-                                             matcher);
-        EXPECT_EQ(oracle.cycle_invalidated, got.cycle_invalidated);
-        EXPECT_EQ(oracle.cycle_reports, got.cycle_reports);
-        EXPECT_EQ(oracle.stats_report, got.stats_report);
+  for (size_t shards : {1u, 2u, 4u}) {
+    for (size_t workers : {1u, 4u}) {
+      SCOPED_TRACE(StrCat("shards=", shards, " workers=", workers));
+      MatrixResult got = RunMatrixScenario(GetParam(), shards, workers);
+      ExpectReproduces(pinned, got.cycle_invalidated, got.cycle_reports,
+                       got.stats_report);
+      if (GetParam() == 1) {
+        EXPECT_EQ(got.stats_report, kSeed1Report);
       }
     }
   }
@@ -220,7 +305,7 @@ TEST(MetadataPlaneTest, MergedIterationOrderIsShardCountInvariant) {
       "AND Car.price < 16000",
   };
   auto scan = [&sqls, &db](size_t shards) {
-    MetadataPlane plane(&db, shards, /*use_type_matcher=*/true);
+    MetadataPlane plane(&db, shards, /*exact_strategy=*/true);
     for (const std::string& sql_text : sqls) {
       EXPECT_TRUE(plane.RegisterInstance(sql_text).ok()) << sql_text;
     }
@@ -247,7 +332,7 @@ TEST(MetadataPlaneTest, RegistrationIsIdempotentAndRetireRoutesBySql) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
-  MetadataPlane plane(&db, 4, /*use_type_matcher=*/true);
+  MetadataPlane plane(&db, 4, /*exact_strategy=*/true);
   const std::string sql_text = "SELECT * FROM Car WHERE price < 9000";
 
   const QueryInstance* first = plane.RegisterInstance(sql_text).value();
@@ -275,7 +360,7 @@ TEST(MetadataPlaneTest, RegistrationIsIdempotentAndRetireRoutesBySql) {
 TEST(MetadataPlaneTest, MapCursorsAdvanceInLockstepAndReset) {
   ManualClock clock;
   db::Database db(&clock);
-  MetadataPlane plane(&db, 3, /*use_type_matcher=*/false);
+  MetadataPlane plane(&db, 3, /*exact_strategy=*/true);
   EXPECT_EQ(plane.MinMapCursor(), 0u);
   plane.AdvanceMapCursors(7);
   EXPECT_EQ(plane.MinMapCursor(), 7u);
@@ -289,7 +374,7 @@ TEST(MetadataPlaneTest, MapCursorsAdvanceInLockstepAndReset) {
 TEST(MetadataPlaneTest, ZeroShardsIsTreatedAsOne) {
   ManualClock clock;
   db::Database db(&clock);
-  MetadataPlane plane(&db, 0, /*use_type_matcher=*/false);
+  MetadataPlane plane(&db, 0, /*exact_strategy=*/true);
   EXPECT_EQ(plane.num_shards(), 1u);
 }
 
@@ -339,9 +424,9 @@ TEST(StagePolicyTest, RungsResolveToKnobs) {
 
 /// Owns every component a StageEnv borrows, with nullable extras off.
 struct StageFixture {
-  explicit StageFixture(size_t shards = 2, bool matcher = false)
+  explicit StageFixture(size_t shards = 2)
       : db(&clock),
-        plane(&db, shards, matcher),
+        plane(&db, shards, /*exact_strategy=*/true),
         info(&db),
         scheduler(/*max_polls_per_cycle=*/0) {}
 

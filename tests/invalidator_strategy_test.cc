@@ -595,10 +595,13 @@ TEST(ExactTierAtScaleTest, EjectsEqualTheOracleAndCountersEqualTheFullWalk) {
 // ---------------------------------------------------------------------------
 
 /// Owns every component a StageEnv borrows (invalidator_pipeline_test's
-/// fixture, with the strategy-config plane ctor).
+/// fixture, with the exact tier on).
 struct StageFixture {
-  StageFixture() : db(&clock), plane(&db, 2, StrategyConfig{}), info(&db),
-                   scheduler(/*max_polls_per_cycle=*/0) {}
+  StageFixture()
+      : db(&clock),
+        plane(&db, 2, /*exact_strategy=*/true),
+        info(&db),
+        scheduler(/*max_polls_per_cycle=*/0) {}
 
   StageEnv Env() {
     StageEnv env;
