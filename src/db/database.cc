@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "db/access_path.h"
 #include "db/executor.h"
 #include "sql/analyzer.h"
 #include "sql/eval.h"
@@ -12,27 +13,14 @@ namespace cacheportal::db {
 
 namespace {
 
-/// Resolves columns of a single table row (for DML WHERE clauses and
-/// value expressions).
-class SingleTableResolver : public sql::ColumnResolver {
- public:
-  SingleTableResolver(const TableSchema& schema, const Row& row)
-      : schema_(schema), row_(row) {}
-
-  std::optional<sql::Value> Resolve(const std::string& table,
-                                    const std::string& column) const override {
-    if (!table.empty() && !EqualsIgnoreCase(table, schema_.name())) {
-      return std::nullopt;
-    }
-    std::optional<size_t> idx = schema_.ColumnIndex(column);
-    if (!idx.has_value()) return std::nullopt;
-    return row_[*idx];
-  }
-
- private:
-  const TableSchema& schema_;
-  const Row& row_;
-};
+/// The rows of `table` a DML WHERE selects, through the access-path
+/// chooser; all rows when `where` is null.
+Result<std::vector<RowRef>> MatchingRows(const Table& table,
+                                         const sql::Expression* where) {
+  std::vector<const sql::Expression*> conjuncts;
+  if (where != nullptr) conjuncts = sql::SplitConjuncts(*where);
+  return TableAccess(&table, table.schema().name(), conjuncts).Select();
+}
 
 }  // namespace
 
@@ -227,26 +215,16 @@ Result<int64_t> Database::ExecuteDelete(const sql::DeleteStatement& stmt) {
   if (table == nullptr) return Status::NotFound(StrCat("table ", stmt.table));
   const TableSchema& schema = table->schema();
 
-  std::vector<RowId> to_delete;
-  table->BumpScanned(table->size());
-  for (const auto& [id, row] : table->rows()) {
-    if (stmt.where != nullptr) {
-      SingleTableResolver resolver(schema, row);
-      CACHEPORTAL_ASSIGN_OR_RETURN(
-          std::optional<bool> pass,
-          sql::EvalPredicate(*stmt.where, resolver));
-      if (!pass.has_value() || !*pass) continue;
-    }
-    to_delete.push_back(id);
-  }
+  CACHEPORTAL_ASSIGN_OR_RETURN(std::vector<RowRef> hits,
+                               MatchingRows(*table, stmt.where.get()));
   Micros now = clock_->NowMicros();
-  for (RowId id : to_delete) {
-    CACHEPORTAL_ASSIGN_OR_RETURN(Row row, table->Get(id));
-    CACHEPORTAL_RETURN_NOT_OK(table->Delete(id));
+  for (const RowRef& hit : hits) {
+    Row row = *hit.row;  // Deleting frees only this hit's row.
+    CACHEPORTAL_RETURN_NOT_OK(table->Delete(hit.id));
     update_log_.Append(now, schema.name(), UpdateOp::kDelete, std::move(row));
   }
   ++dml_executed_;
-  return static_cast<int64_t>(to_delete.size());
+  return static_cast<int64_t>(hits.size());
 }
 
 Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStatement& stmt) {
@@ -266,24 +244,20 @@ Result<int64_t> Database::ExecuteUpdate(const sql::UpdateStatement& stmt) {
     target_cols.push_back(*idx);
   }
 
+  CACHEPORTAL_ASSIGN_OR_RETURN(std::vector<RowRef> hits,
+                               MatchingRows(*table, stmt.where.get()));
   std::vector<std::pair<RowId, Row>> changes;  // id -> new image.
-  table->BumpScanned(table->size());
-  for (const auto& [id, row] : table->rows()) {
-    SingleTableResolver resolver(schema, row);
-    if (stmt.where != nullptr) {
-      CACHEPORTAL_ASSIGN_OR_RETURN(
-          std::optional<bool> pass,
-          sql::EvalPredicate(*stmt.where, resolver));
-      if (!pass.has_value() || !*pass) continue;
-    }
-    Row updated = row;
+  changes.reserve(hits.size());
+  for (const RowRef& hit : hits) {
+    TableRowResolver resolver(schema, schema.name(), *hit.row);
+    Row updated = *hit.row;
     for (size_t i = 0; i < stmt.assignments.size(); ++i) {
       CACHEPORTAL_ASSIGN_OR_RETURN(
           sql::Value v,
           sql::EvalExpr(*stmt.assignments[i].second, resolver));
       updated[target_cols[i]] = std::move(v);
     }
-    changes.emplace_back(id, std::move(updated));
+    changes.emplace_back(hit.id, std::move(updated));
   }
   Micros now = clock_->NowMicros();
   for (auto& [id, new_row] : changes) {

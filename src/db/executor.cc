@@ -1,9 +1,9 @@
 #include "db/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/strings.h"
+#include "db/access_path.h"
 #include "sql/analyzer.h"
 #include "sql/eval.h"
 #include "sql/printer.h"
@@ -22,50 +22,63 @@ using sql::Value;
 struct BoundTable {
   std::string effective_name;  // Alias if present, else table name.
   const Table* table = nullptr;
-  size_t offset = 0;  // First column's slot in the composite row.
 };
 
-/// Composite rows concatenate the columns of all FROM tables in order.
-using CompositeRow = std::vector<Value>;
+/// The (tuple position, column index) a column reference names: a
+/// qualified one in the first table so named, an unqualified one in the
+/// only table that has the column. std::nullopt if none (or ambiguous).
+std::optional<std::pair<size_t, size_t>> SlotOf(
+    const std::vector<BoundTable>& tables, const std::string& table,
+    const std::string& column) {
+  std::optional<std::pair<size_t, size_t>> found;
+  for (size_t t = 0; t < tables.size(); ++t) {
+    if (!table.empty() && !EqualsIgnoreCase(tables[t].effective_name, table)) {
+      continue;
+    }
+    std::optional<size_t> idx = tables[t].table->schema().ColumnIndex(column);
+    if (!table.empty()) {
+      if (!idx.has_value()) return std::nullopt;
+      return std::make_pair(t, *idx);
+    }
+    if (!idx.has_value()) continue;
+    if (found.has_value()) return std::nullopt;  // Ambiguous.
+    found = std::make_pair(t, *idx);
+  }
+  return found;
+}
 
-/// Resolves column references against a composite row.
-class CompositeResolver : public sql::ColumnResolver {
+/// Resolves column references against a tuple (db::Tuple). A reference to
+/// a table not joined yet (a nullptr entry) does not resolve.
+class TupleResolver : public sql::ColumnResolver {
  public:
-  CompositeResolver(const std::vector<BoundTable>& tables,
-                    const CompositeRow& row)
-      : tables_(tables), row_(row) {}
+  TupleResolver(const std::vector<BoundTable>& tables, Tuple tuple)
+      : tables_(tables), tuple_(tuple) {}
 
   std::optional<Value> Resolve(const std::string& table,
                                const std::string& column) const override {
-    if (!table.empty()) {
-      for (const BoundTable& bt : tables_) {
-        if (EqualsIgnoreCase(bt.effective_name, table)) {
-          std::optional<size_t> idx = bt.table->schema().ColumnIndex(column);
-          if (!idx.has_value()) return std::nullopt;
-          size_t slot = bt.offset + *idx;
-          if (slot >= row_.size()) return std::nullopt;  // Partial row.
-          return row_[slot];
-        }
-      }
+    auto slot = SlotOf(tables_, table, column);
+    if (!slot.has_value() || tuple_[slot->first] == nullptr) {
       return std::nullopt;
     }
-    // Unqualified: must be unique across tables.
-    std::optional<Value> found;
-    for (const BoundTable& bt : tables_) {
-      std::optional<size_t> idx = bt.table->schema().ColumnIndex(column);
-      if (idx.has_value()) {
-        size_t slot = bt.offset + *idx;
-        if (slot >= row_.size()) continue;
-        if (found.has_value()) return std::nullopt;  // Ambiguous.
-        found = row_[slot];
-      }
-    }
-    return found;
+    return (*tuple_[slot->first])[slot->second];
   }
 
  private:
   const std::vector<BoundTable>& tables_;
-  const CompositeRow& row_;
+  Tuple tuple_;
+};
+
+/// An expression evaluated per tuple: a column reference bound to its slot
+/// once per statement, anything else through a TupleResolver.
+struct BoundExpr {
+  const Expression* expr = nullptr;
+  std::optional<std::pair<size_t, size_t>> slot;
+
+  Result<Value> Eval(const std::vector<BoundTable>& tables,
+                     Tuple tuple) const {
+    if (slot.has_value()) return (*tuple[slot->first])[slot->second];
+    return sql::EvalExpr(*expr, TupleResolver(tables, tuple));
+  }
 };
 
 /// The set of bound-table positions a conjunct references. Unqualified
@@ -109,50 +122,14 @@ Result<std::vector<size_t>> ConjunctTables(
   return used;
 }
 
-/// Detects `tables[i].col = literal` (either side) for index lookups.
-struct IndexablePredicate {
-  std::string column;
-  Value key;
-};
-
-std::optional<IndexablePredicate> AsIndexable(const Expression& conjunct,
-                                              const BoundTable& bt) {
-  if (conjunct.kind() != ExprKind::kBinary) return std::nullopt;
-  const auto& bin = static_cast<const sql::BinaryExpr&>(conjunct);
-  if (bin.op() != sql::BinaryOp::kEq) return std::nullopt;
-  const Expression* col = nullptr;
-  const Expression* lit = nullptr;
-  if (bin.left().kind() == ExprKind::kColumnRef &&
-      bin.right().kind() == ExprKind::kLiteral) {
-    col = &bin.left();
-    lit = &bin.right();
-  } else if (bin.right().kind() == ExprKind::kColumnRef &&
-             bin.left().kind() == ExprKind::kLiteral) {
-    col = &bin.right();
-    lit = &bin.left();
-  } else {
-    return std::nullopt;
-  }
-  const auto& ref = static_cast<const ColumnRefExpr&>(*col);
-  if (!ref.table().empty() &&
-      !EqualsIgnoreCase(ref.table(), bt.effective_name)) {
-    return std::nullopt;
-  }
-  if (!bt.table->schema().ColumnIndex(ref.column()).has_value()) {
-    return std::nullopt;
-  }
-  if (!bt.table->HasIndex(ref.column())) return std::nullopt;
-  return IndexablePredicate{
-      ref.column(), static_cast<const sql::LiteralExpr&>(*lit).value()};
-}
-
 /// Detects an equi-join conjunct `a.x = b.y` between the table being added
 /// (`added`) and any already-joined table.
 struct EquiJoin {
-  // Slot in the composite prefix (already-joined side).
-  size_t left_slot = 0;
+  // The already-joined side: table position and column index.
+  size_t outer_table = 0;
+  size_t outer_col = 0;
   // Column index within the added table.
-  size_t right_col = 0;
+  size_t inner_col = 0;
 };
 
 std::optional<EquiJoin> AsEquiJoin(const Expression& conjunct,
@@ -185,10 +162,10 @@ std::optional<EquiJoin> AsEquiJoin(const Expression& conjunct,
   if (!l.has_value() || !r.has_value()) return std::nullopt;
   // Want one side == added, other side already joined.
   if (l->first == added && joined[r->first]) {
-    return EquiJoin{tables[r->first].offset + r->second, l->second};
+    return EquiJoin{r->first, r->second, l->second};
   }
   if (r->first == added && joined[l->first]) {
-    return EquiJoin{tables[l->first].offset + l->second, r->second};
+    return EquiJoin{l->first, l->second, r->second};
   }
   return std::nullopt;
 }
@@ -366,28 +343,22 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
     return Status::InvalidArgument("SELECT requires a FROM clause");
   }
   std::vector<BoundTable> tables;
-  size_t offset = 0;
   for (const sql::TableRef& ref : stmt.from) {
     const Table* table = db_->FindTable(ref.table);
     if (table == nullptr) {
       return Status::NotFound(StrCat("table ", ref.table));
     }
-    tables.push_back(BoundTable{ref.EffectiveName(), table, offset});
-    offset += table->schema().num_columns();
+    tables.push_back(BoundTable{ref.EffectiveName(), table});
   }
-  const size_t total_cols = offset;
+  const size_t width = tables.size();
 
   // ---- Classify WHERE conjuncts. ----
   std::vector<const Expression*> conjuncts;
   if (stmt.where != nullptr) conjuncts = sql::SplitConjuncts(*stmt.where);
   // Per-table single-table conjuncts; the rest apply once their last table
-  // has been joined.
-  std::vector<std::vector<const Expression*>> single(tables.size());
-  struct MultiConjunct {
-    const Expression* expr;
-    std::vector<size_t> tables;
-  };
-  std::vector<MultiConjunct> multi;
+  // (in FROM order) has been joined.
+  std::vector<std::vector<const Expression*>> single(width);
+  std::vector<std::vector<const Expression*>> multi(width);
   for (const Expression* c : conjuncts) {
     CACHEPORTAL_ASSIGN_OR_RETURN(std::vector<size_t> used,
                                  ConjunctTables(*c, tables));
@@ -409,142 +380,97 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
     if (used.size() == 1) {
       single[used[0]].push_back(c);
     } else {
-      multi.push_back(MultiConjunct{c, std::move(used)});
+      multi[*std::max_element(used.begin(), used.end())].push_back(c);
     }
   }
-
-  // ---- Scan the first table with pushed-down filters. ----
-  auto scan_table = [&](size_t pos) -> Result<std::vector<CompositeRow>> {
-    const BoundTable& bt = tables[pos];
-    std::vector<CompositeRow> out;
-    // Try an index for one of the single-table conjuncts.
-    std::optional<IndexablePredicate> indexed;
-    for (const Expression* c : single[pos]) {
-      indexed = AsIndexable(*c, bt);
-      if (indexed.has_value()) break;
+  // Column references bound to tuple slots, as TupleResolver binds them.
+  auto slot_of = [&](const ColumnRefExpr& ref) {
+    return SlotOf(tables, ref.table(), ref.column());
+  };
+  auto bind = [&](const Expression& expr) {
+    BoundExpr bound{&expr, std::nullopt};
+    if (expr.kind() == ExprKind::kColumnRef) {
+      bound.slot = slot_of(static_cast<const ColumnRefExpr&>(expr));
     }
-    std::vector<const Row*> candidates;
-    std::vector<Row> fetched;
-    if (indexed.has_value()) {
-      CACHEPORTAL_ASSIGN_OR_RETURN(
-          std::vector<RowId> ids,
-          bt.table->IndexLookup(indexed->column, indexed->key));
-      fetched.reserve(ids.size());
-      for (RowId id : ids) {
-        CACHEPORTAL_ASSIGN_OR_RETURN(Row row, bt.table->Get(id));
-        fetched.push_back(std::move(row));
-      }
-      for (const Row& r : fetched) candidates.push_back(&r);
-    } else {
-      bt.table->BumpScanned(bt.table->size());
-      for (const auto& [id, row] : bt.table->rows()) {
-        candidates.push_back(&row);
-      }
-    }
-    for (const Row* row : candidates) {
-      // Evaluate single-table conjuncts on a composite row holding just
-      // this table's slice (resolver treats shorter rows as partial).
-      CompositeRow composite(bt.offset + row->size(), Value::Null());
-      std::copy(row->begin(), row->end(), composite.begin() + bt.offset);
-      CompositeResolver resolver(tables, composite);
-      bool pass = true;
-      for (const Expression* c : single[pos]) {
-        CACHEPORTAL_ASSIGN_OR_RETURN(std::optional<bool> t,
-                                     sql::EvalPredicate(*c, resolver));
-        if (!t.has_value() || !*t) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) out.push_back(std::move(composite));
-    }
-    return out;
+    return bound;
   };
 
-  std::vector<bool> joined(tables.size(), false);
-  CACHEPORTAL_ASSIGN_OR_RETURN(std::vector<CompositeRow> current,
-                               scan_table(0));
+  // ---- Row sources, each through the access-path chooser. ----
+  // Tuples are stored flat, `width` row pointers each.
+  std::vector<const Row*> current;
+  {
+    TableAccess first(tables[0].table, tables[0].effective_name, single[0]);
+    CACHEPORTAL_ASSIGN_OR_RETURN(std::vector<RowRef> rows, first.Select());
+    current.assign(rows.size() * width, nullptr);
+    for (size_t r = 0; r < rows.size(); ++r) current[r * width] = rows[r].row;
+  }
+  std::vector<bool> joined(width, false);
   joined[0] = true;
 
   // ---- Join remaining tables in FROM order. ----
-  for (size_t pos = 1; pos < tables.size(); ++pos) {
-    CACHEPORTAL_ASSIGN_OR_RETURN(std::vector<CompositeRow> right,
-                                 scan_table(pos));
+  for (size_t pos = 1; pos < width; ++pos) {
     const BoundTable& bt = tables[pos];
+    TableAccess inner(bt.table, bt.effective_name, single[pos]);
 
-    // Find a usable equi-join conjunct.
+    // An equi-join conjunct drives the join; one whose inner column is
+    // indexed allows an index nested-loop join.
     std::optional<EquiJoin> equi;
-    for (const MultiConjunct& mc : multi) {
-      equi = AsEquiJoin(*mc.expr, tables, pos, joined);
-      if (equi.has_value()) break;
+    for (const Expression* c : multi[pos]) {
+      std::optional<EquiJoin> e = AsEquiJoin(*c, tables, pos, joined);
+      if (!e.has_value()) continue;
+      if (!equi.has_value()) equi = e;
+      if (bt.table->HasIndex(e->inner_col)) {
+        equi = e;
+        break;
+      }
     }
-
-    std::vector<CompositeRow> next;
+    const size_t outer_rows = current.size() / width;
+    std::vector<const Value*> keys(outer_rows, nullptr);
     if (equi.has_value()) {
-      // Hash join: build on the added table's rows.
-      std::unordered_multimap<size_t, const CompositeRow*> build;
-      build.reserve(right.size());
-      for (const CompositeRow& r : right) {
-        build.emplace(r[bt.offset + equi->right_col].Hash(), &r);
+      for (size_t i = 0; i < outer_rows; ++i) {
+        keys[i] = &(*current[i * width + equi->outer_table])[equi->outer_col];
       }
-      for (const CompositeRow& left : current) {
-        const Value& key = left[equi->left_slot];
-        auto [lo, hi] = build.equal_range(key.Hash());
-        for (auto it = lo; it != hi; ++it) {
-          const CompositeRow& r = *it->second;
-          std::optional<int> cmp =
-              key.Compare(r[bt.offset + equi->right_col]);
-          if (!cmp.has_value() || *cmp != 0) continue;
-          // `left` covers only tables before `pos`, so its size is at most
-          // bt.offset; pad to the added table's offset and append its slice.
-          CompositeRow merged(left);
-          merged.resize(bt.offset, Value::Null());
-          merged.insert(merged.end(), r.begin() + bt.offset, r.end());
-          next.push_back(std::move(merged));
+    }
+    CACHEPORTAL_ASSIGN_OR_RETURN(
+        auto pairs,
+        inner.Join(keys, equi.has_value()
+                             ? std::optional<size_t>(equi->inner_col)
+                             : std::nullopt));
+
+    // Keep the pairs that pass the conjuncts this table completes.
+    std::vector<std::pair<const Expression*, std::optional<SlotPredicate>>>
+        completes;
+    for (const Expression* c : multi[pos]) {
+      completes.emplace_back(c, SlotPredicate::Compile(*c, slot_of));
+    }
+    std::vector<const Row*> next;
+    next.reserve(pairs.size() * width);
+    for (const auto& [outer, row] : pairs) {
+      next.insert(next.end(), current.begin() + outer * width,
+                  current.begin() + (outer + 1) * width);
+      const Row** tuple = next.data() + next.size() - width;
+      tuple[pos] = row;
+      for (const auto& [c, compiled] : completes) {
+        bool pass;
+        if (compiled.has_value()) {
+          pass = compiled->IsTrue(tuple);
+        } else {
+          CACHEPORTAL_ASSIGN_OR_RETURN(
+              std::optional<bool> t,
+              sql::EvalPredicate(*c, TupleResolver(tables, tuple)));
+          pass = t.has_value() && *t;
         }
-      }
-    } else {
-      // Nested loop.
-      for (const CompositeRow& left : current) {
-        for (const CompositeRow& r : right) {
-          CompositeRow merged(left);
-          merged.resize(bt.offset, Value::Null());
-          merged.insert(merged.end(), r.begin() + bt.offset, r.end());
-          next.push_back(std::move(merged));
+        if (!pass) {
+          next.resize(next.size() - width);
+          break;
         }
       }
     }
     joined[pos] = true;
     current = std::move(next);
-
-    // Apply multi-table conjuncts whose tables are now all joined.
-    std::vector<CompositeRow> filtered;
-    filtered.reserve(current.size());
-    for (CompositeRow& row : current) {
-      CompositeResolver resolver(tables, row);
-      bool pass = true;
-      for (const MultiConjunct& mc : multi) {
-        bool ready = std::all_of(mc.tables.begin(), mc.tables.end(),
-                                 [&](size_t t) { return joined[t]; });
-        bool newly = std::any_of(mc.tables.begin(), mc.tables.end(),
-                                 [&](size_t t) { return t == pos; });
-        if (!ready || !newly) continue;
-        CACHEPORTAL_ASSIGN_OR_RETURN(std::optional<bool> t,
-                                     sql::EvalPredicate(*mc.expr, resolver));
-        if (!t.has_value() || !*t) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) filtered.push_back(std::move(row));
-    }
-    current = std::move(filtered);
   }
-
-  // Pad rows to full width (single-table case leaves them short).
-  for (CompositeRow& row : current) {
-    row.resize(total_cols, Value::Null());
-  }
+  const size_t num_tuples = current.size() / width;
+  auto tuple_at = [&](size_t r) -> Tuple { return current.data() + r * width; };
 
   // ---- Projection / aggregation. ----
   QueryResult result;
@@ -579,9 +505,10 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
     struct Group {
       Row key;
       std::vector<AggState> states;
-      CompositeRow representative;
+      std::vector<const Row*> representative;
     };
     std::map<std::string, Group> groups;
+    std::vector<Row> null_rows;  // The empty input's representative.
     size_t num_aggs = 0;
     for (const auto& item : stmt.items) {
       if (item.expr != nullptr &&
@@ -596,12 +523,31 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
       CollectAggregates(*stmt.having, &having_aggs);
     }
     const size_t total_aggs = num_aggs + having_aggs.size();
-    for (const CompositeRow& row : current) {
-      CompositeResolver resolver(tables, row);
+    // Per accumulator slot: its argument, or nullptr for COUNT(*) and
+    // argument-less calls (which accumulate 1 and nothing).
+    std::vector<std::optional<BoundExpr>> agg_args;
+    std::vector<bool> agg_star;
+    auto add_agg = [&](const sql::FunctionCallExpr& fn) {
+      agg_star.push_back(fn.star());
+      agg_args.push_back(fn.star() || fn.args().empty()
+                             ? std::nullopt
+                             : std::optional<BoundExpr>(bind(*fn.args()[0])));
+    };
+    for (const auto& item : stmt.items) {
+      if (item.expr != nullptr &&
+          item.expr->kind() == ExprKind::kFunctionCall) {
+        add_agg(static_cast<const sql::FunctionCallExpr&>(*item.expr));
+      }
+    }
+    for (const sql::FunctionCallExpr* fn : having_aggs) add_agg(*fn);
+    std::vector<BoundExpr> group_by;
+    for (const auto& g : stmt.group_by) group_by.push_back(bind(*g));
+    for (size_t r = 0; r < num_tuples; ++r) {
+      Tuple tuple = tuple_at(r);
       Row key;
       std::string key_str;
-      for (const auto& g : stmt.group_by) {
-        CACHEPORTAL_ASSIGN_OR_RETURN(Value v, sql::EvalExpr(*g, resolver));
+      for (const BoundExpr& g : group_by) {
+        CACHEPORTAL_ASSIGN_OR_RETURN(Value v, g.Eval(tables, tuple));
         key_str += v.ToSqlLiteral();
         key_str += '\x1f';
         key.push_back(std::move(v));
@@ -611,34 +557,15 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
       if (inserted) {
         group.key = std::move(key);
         group.states.resize(total_aggs);
-        group.representative = row;
+        group.representative.assign(tuple, tuple + width);
       }
-      size_t agg_index = 0;
-      for (const auto& item : stmt.items) {
-        if (item.expr == nullptr ||
-            item.expr->kind() != ExprKind::kFunctionCall) {
-          continue;
-        }
-        const auto& fn =
-            static_cast<const sql::FunctionCallExpr&>(*item.expr);
-        AggState& state = group.states[agg_index++];
-        if (fn.star()) {
-          state.Accumulate(Value::Int(1));
-        } else if (!fn.args().empty()) {
+      for (size_t a = 0; a < total_aggs; ++a) {
+        if (agg_star[a]) {
+          group.states[a].Accumulate(Value::Int(1));
+        } else if (agg_args[a].has_value()) {
           CACHEPORTAL_ASSIGN_OR_RETURN(Value v,
-                                       sql::EvalExpr(*fn.args()[0], resolver));
-          state.Accumulate(v);
-        }
-      }
-      for (size_t h = 0; h < having_aggs.size(); ++h) {
-        AggState& state = group.states[num_aggs + h];
-        if (having_aggs[h]->star()) {
-          state.Accumulate(Value::Int(1));
-        } else if (!having_aggs[h]->args().empty()) {
-          CACHEPORTAL_ASSIGN_OR_RETURN(
-              Value v,
-              sql::EvalExpr(*having_aggs[h]->args()[0], resolver));
-          state.Accumulate(v);
+                                       agg_args[a]->Eval(tables, tuple));
+          group.states[a].Accumulate(v);
         }
       }
     }
@@ -646,10 +573,14 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
     if (groups.empty() && stmt.group_by.empty()) {
       Group& g = groups[""];
       g.states.resize(total_aggs);
-      g.representative.assign(total_cols, Value::Null());
+      for (const BoundTable& bt : tables) {
+        null_rows.emplace_back(bt.table->schema().num_columns(),
+                               Value::Null());
+      }
+      for (const Row& row : null_rows) g.representative.push_back(&row);
     }
     for (auto& [key_str, group] : groups) {
-      CompositeResolver resolver(tables, group.representative);
+      TupleResolver resolver(tables, group.representative.data());
       if (stmt.having != nullptr) {
         std::vector<Value> agg_values;
         agg_values.reserve(having_aggs.size());
@@ -683,25 +614,28 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
       result.rows.push_back(std::move(out));
     }
   } else {
-    result.rows.reserve(current.size());
-    for (const CompositeRow& row : current) {
-      CompositeResolver resolver(tables, row);
+    std::vector<std::optional<BoundExpr>> items;
+    for (const auto& item : stmt.items) {
+      items.push_back(item.star ? std::nullopt
+                                : std::optional<BoundExpr>(bind(*item.expr)));
+    }
+    result.rows.reserve(num_tuples);
+    for (size_t r = 0; r < num_tuples; ++r) {
+      Tuple tuple = tuple_at(r);
       Row out;
-      for (const auto& item : stmt.items) {
+      for (size_t i = 0; i < stmt.items.size(); ++i) {
+        const sql::SelectItem& item = stmt.items[i];
         if (item.star) {
-          for (const BoundTable& bt : tables) {
+          for (size_t t = 0; t < width; ++t) {
             if (!item.star_table.empty() &&
-                !EqualsIgnoreCase(bt.effective_name, item.star_table)) {
+                !EqualsIgnoreCase(tables[t].effective_name,
+                                  item.star_table)) {
               continue;
             }
-            size_t n = bt.table->schema().num_columns();
-            for (size_t i = 0; i < n; ++i) {
-              out.push_back(row[bt.offset + i]);
-            }
+            out.insert(out.end(), tuple[t]->begin(), tuple[t]->end());
           }
         } else {
-          CACHEPORTAL_ASSIGN_OR_RETURN(Value v,
-                                       sql::EvalExpr(*item.expr, resolver));
+          CACHEPORTAL_ASSIGN_OR_RETURN(Value v, items[i]->Eval(tables, tuple));
           out.push_back(std::move(v));
         }
       }
@@ -757,7 +691,7 @@ Result<QueryResult> Executor::Execute(const sql::SelectStatement& stmt) const {
         if (out_positions[i] >= 0) {
           k.keys.push_back(k.row[static_cast<size_t>(out_positions[i])]);
         } else {
-          CompositeResolver resolver(tables, current[r]);
+          TupleResolver resolver(tables, tuple_at(r));
           Result<Value> v = sql::EvalExpr(*stmt.order_by[i].expr, resolver);
           k.keys.push_back(v.ok() ? std::move(v).value() : Value::Null());
         }

@@ -8,9 +8,10 @@
 namespace cacheportal::db {
 
 /// Evaluates SELECT statements against a Database. Planning is simple but
-/// real: single-table conjuncts are pushed below the join (using hash
-/// indexes for `col = literal` when available), equi-join conjuncts drive
-/// hash joins, and remaining tables fall back to filtered nested loops.
+/// real: single-table conjuncts are pushed below the join, and tables join
+/// left-deep in FROM order, each row source reached through the
+/// access-path chooser (TableAccess: index seek or union, index
+/// nested-loop or hash join on an equi-join conjunct, full scan).
 /// Aggregates (COUNT/SUM/MIN/MAX/AVG) with optional GROUP BY, DISTINCT,
 /// ORDER BY, and LIMIT are applied on top.
 class Executor {

@@ -110,6 +110,16 @@ TEST(TableTest, ScanInInsertionOrder) {
 // Indexes
 // ---------------------------------------------------------------------
 
+constexpr size_t kMaker = 0, kModel = 1;
+
+/// The index's candidates for `model = key`, merged.
+std::vector<RowId> ModelLookup(const Table& table, const std::string& key) {
+  std::optional<IndexMatch> match =
+      table.IndexProbe(kModel, Value::String(key));
+  EXPECT_TRUE(match.has_value());
+  return match.has_value() ? match->Merged() : std::vector<RowId>{};
+}
+
 TEST(TableIndexTest, LookupFindsMatchingRows) {
   Table table(CarSchema());
   ASSERT_TRUE(table.CreateIndex("model").ok());
@@ -117,11 +127,8 @@ TEST(TableIndexTest, LookupFindsMatchingRows) {
   table.Insert(CarRow("Mitsubishi", "Eclipse", 20000)).value();
   RowId c = *table.Insert(CarRow("Used", "Avalon", 9000));
 
-  auto hits = table.IndexLookup("model", sql::Value::String("Avalon"));
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(*hits, (std::vector<RowId>{a, c}));
-  EXPECT_TRUE(
-      table.IndexLookup("model", sql::Value::String("Civic"))->empty());
+  EXPECT_EQ(ModelLookup(table, "Avalon"), (std::vector<RowId>{a, c}));
+  EXPECT_TRUE(ModelLookup(table, "Civic").empty());
 }
 
 TEST(TableIndexTest, IndexMaintainedAcrossDeleteAndUpdate) {
@@ -130,20 +137,18 @@ TEST(TableIndexTest, IndexMaintainedAcrossDeleteAndUpdate) {
   RowId a = *table.Insert(CarRow("T", "X", 1));
   RowId b = *table.Insert(CarRow("T", "X", 2));
   ASSERT_TRUE(table.Delete(a).ok());
-  auto hits = table.IndexLookup("model", sql::Value::String("X"));
-  EXPECT_EQ(*hits, (std::vector<RowId>{b}));
+  EXPECT_EQ(ModelLookup(table, "X"), (std::vector<RowId>{b}));
 
   ASSERT_TRUE(table.Update(b, CarRow("T", "Y", 2)).ok());
-  EXPECT_TRUE(table.IndexLookup("model", sql::Value::String("X"))->empty());
-  EXPECT_EQ(table.IndexLookup("model", sql::Value::String("Y"))->size(), 1u);
+  EXPECT_TRUE(ModelLookup(table, "X").empty());
+  EXPECT_EQ(ModelLookup(table, "Y").size(), 1u);
 }
 
 TEST(TableIndexTest, CreateIndexBackfillsExistingRows) {
   Table table(CarSchema());
   RowId a = *table.Insert(CarRow("T", "Z", 5));
   ASSERT_TRUE(table.CreateIndex("model").ok());
-  EXPECT_EQ(*table.IndexLookup("model", sql::Value::String("Z")),
-            (std::vector<RowId>{a}));
+  EXPECT_EQ(ModelLookup(table, "Z"), (std::vector<RowId>{a}));
 }
 
 TEST(TableIndexTest, Errors) {
@@ -153,8 +158,7 @@ TEST(TableIndexTest, Errors) {
   EXPECT_TRUE(table.CreateIndex("model").IsAlreadyExists());
   EXPECT_FALSE(table.HasIndex("maker"));
   EXPECT_TRUE(table.HasIndex("model"));
-  EXPECT_TRUE(
-      table.IndexLookup("maker", sql::Value::String("T")).status().IsNotFound());
+  EXPECT_FALSE(table.IndexProbe(kMaker, Value::String("T")).has_value());
 }
 
 }  // namespace
