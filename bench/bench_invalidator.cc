@@ -288,6 +288,79 @@ BENCHMARK(BM_ConsolidatedPolls)
     ->ArgNames({"instances", "consolidated"})
     ->Unit(benchmark::kMillisecond);
 
+/// Browse's heavy join page, `SmallT.grp = LargeT.grp AND SmallT.grp =
+/// $1`, with one instance per group (range(0)) and one LargeT insert per
+/// cycle. LargeT's anchor is derived through the join term from SmallT's,
+/// so only the instance of the tuple's group is a candidate: polls per
+/// update stay at 1 as the instance count grows (every instance was one
+/// before). Inserts go to even groups, which have no SmallT row, so each
+/// poll comes back empty and every instance stays registered.
+void BM_JoinClosureCycle(benchmark::State& state) {
+  const int instances = static_cast<int>(state.range(0));
+  ManualClock clock;
+  db::Database db(&clock);
+  for (const char* table : {"SmallT", "LargeT"}) {
+    db.CreateTable(db::TableSchema(table, {{"id", db::ColumnType::kInt},
+                                           {"grp", db::ColumnType::kInt},
+                                           {"val", db::ColumnType::kInt}}))
+        .ok();
+    db.CreateIndex(table, "grp").ok();
+  }
+  int next_id = 0;
+  for (int g = 0; g < instances; ++g) {
+    if (g % 2 == 1) {
+      db.ExecuteSql(StrCat("INSERT INTO SmallT VALUES (", next_id++, ", ", g,
+                           ", 1)"))
+          .value();
+    }
+    db.ExecuteSql(StrCat("INSERT INTO LargeT VALUES (", next_id++, ", ", g,
+                         ", 1)"))
+        .value();
+  }
+  sniffer::QiUrlMap map;
+  invalidator::Invalidator inv(&db, &map, &clock, {});
+  for (int g = 0; g < instances; ++g) {
+    map.Add(StrCat("SELECT COUNT(*) AS pairs, MAX(LargeT.val) AS best FROM "
+                   "SmallT, LargeT WHERE SmallT.grp = LargeT.grp AND "
+                   "SmallT.grp = ",
+                   g),
+            StrCat("shop/p", g, "?##"), "/r", 0);
+  }
+  int next_group = 0;
+  auto insert = [&] {
+    db.ExecuteSql(StrCat("INSERT INTO LargeT VALUES (", next_id++, ", ",
+                         next_group, ", 2)"))
+        .value();
+    next_group = (next_group + 2) % instances;
+  };
+  insert();
+  inv.RunCycle().value();  // Registers every instance, untimed.
+  const uint64_t polls_before = inv.stats().polls_issued;
+  const uint64_t trips_before = inv.matcher_stats().poll_round_trips;
+  for (auto _ : state) {
+    state.PauseTiming();
+    insert();
+    state.ResumeTiming();
+    auto report = inv.RunCycle();
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  const double cycles = static_cast<double>(state.iterations());
+  state.counters["polls/update"] =
+      static_cast<double>(inv.stats().polls_issued - polls_before) / cycles;
+  state.counters["round-trips/cycle"] =
+      static_cast<double>(inv.matcher_stats().poll_round_trips -
+                          trips_before) /
+      cycles;
+  state.counters["instances"] =
+      static_cast<double>(inv.metadata().NumInstances());
+}
+BENCHMARK(BM_JoinClosureCycle)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->ArgName("instances")
+    ->Unit(benchmark::kMillisecond);
+
 /// Same with join indexes: polls answered inside the invalidator.
 void BM_CycleVsInstancesWithIndex(benchmark::State& state) {
   World world(static_cast<int>(state.range(0)), true);

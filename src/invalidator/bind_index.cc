@@ -1,28 +1,24 @@
 #include "invalidator/bind_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 
 namespace cacheportal::invalidator {
 
 namespace {
 
-/// Numeric index key, mirroring Value::Compare's widening (and folding
-/// -0.0 into +0.0, which compares equal but would hash apart).
-double NumKey(const sql::Value& v) {
-  double d = v.NumericAsDouble();
-  return d == 0.0 ? 0.0 : d;
-}
+/// Numeric index key (sql::NumericKey); only valid when IndexableNum.
+double NumKey(const sql::Value& v) { return *sql::NumericKey(v); }
 
 /// A numeric bind usable as a map key: ±inf orders and hashes fine; a
 /// NaN key would break the sorted maps' strict weak ordering (and never
 /// match its own hash bucket), so NaN binds take the always-candidate
 /// route instead. Exclusion on NaN would also be unsound:
 /// Value::Compare folds NaN comparisons to "equal", never to a definite
-/// FALSE.
+/// FALSE. An int beyond ±2^53 takes the same route: its key is lossy,
+/// so `c < $1` with c = 2^53 and $1 = 2^53 + 1 is TRUE, yet the keys tie.
 bool IndexableNum(const sql::Value& v) {
-  return v.is_numeric() && !std::isnan(v.NumericAsDouble());
+  return v.is_numeric() && sql::NumericKey(v).has_value();
 }
 
 template <typename Map, typename Key>
@@ -56,6 +52,8 @@ void BindIndex::AddInstance(const TypeMatcher& matcher,
   std::vector<Posting> posts;
 
   for (const auto& [table_lower, anchor] : matcher.anchors()) {
+    // A derived anchor probes its source's postings (same keys).
+    if (anchor.derived()) continue;
     std::pair<uint64_t, std::string> key(instance.type_id, table_lower);
     AnchorIndex& index = indexes_[key];
 
@@ -240,8 +238,7 @@ size_t BindIndex::IndexedCountOfType(uint64_t type_id) const {
   return it == count_by_type_.end() ? 0 : it->second;
 }
 
-void BindIndex::ProbeBatch(uint64_t type_id, const std::string& table_lower,
-                           const CompiledAnchor& anchor,
+void BindIndex::ProbeBatch(uint64_t type_id, const CompiledAnchor& anchor,
                            const sql::ColumnVector& column, BatchProbe* out,
                            MatcherStats* stats) const {
   const size_t n = column.size();
@@ -253,7 +250,8 @@ void BindIndex::ProbeBatch(uint64_t type_id, const std::string& table_lower,
       out->all_rows.push_back(i);
     }
   }
-  auto index_it = indexes_.find(std::make_pair(type_id, table_lower));
+  auto index_it =
+      indexes_.find(std::make_pair(type_id, anchor.postings_table_lower));
   if (index_it == indexes_.end()) return;
   const AnchorIndex& index = index_it->second;
 

@@ -50,10 +50,14 @@ namespace cacheportal::invalidator {
 ///    every numeric, so NaN comparisons never definitely fold FALSE and
 ///    exclusion would be unsound anyway) and a NaN tuple value probes
 ///    as "all candidates".
+///  - Ints beyond ±2^53 widen lossily while int–int comparisons stay
+///    exact, so their keys can tie where Value::Compare orders them:
+///    they take the NaN route on both sides (sql::NumericKey).
 class BindIndex {
  public:
-  /// Indexes `instance` under every anchored table of its type's matcher.
-  /// Idempotent per instance_id.
+  /// Indexes `instance` under every own anchor of its type's matcher;
+  /// derived anchors share their source's postings. Idempotent per
+  /// instance_id.
   void AddInstance(const TypeMatcher& matcher, const QueryInstance& instance);
 
   /// Removes every posting of `instance_id`. No-op when absent.
@@ -78,15 +82,16 @@ class BindIndex {
     std::unordered_map<uint64_t, std::vector<uint32_t>> per_id;
   };
 
-  /// Probes an entire column batch in one call. Strategy is picked per
+  /// Probes an entire column batch — `anchor`'s column of one updated
+  /// table — against the postings of `anchor.postings_table_lower`
+  /// (the source's, for a derived anchor). Strategy is picked per
   /// value class by entry count: few entries run the tight per-column
   /// evaluation kernels (sql/column_batch.h) once per entry; many
   /// entries sort the batch's probe keys once and merge them against
   /// the index's sorted maps (equality keys hash-probe once per
   /// distinct key), touching only matching entries. `stats` (may be
   /// null) accumulates batch_kernel_evals / batch_merge_probes.
-  void ProbeBatch(uint64_t type_id, const std::string& table_lower,
-                  const CompiledAnchor& anchor,
+  void ProbeBatch(uint64_t type_id, const CompiledAnchor& anchor,
                   const sql::ColumnVector& column, BatchProbe* out,
                   MatcherStats* stats) const;
 

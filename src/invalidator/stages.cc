@@ -5,7 +5,6 @@
 #include <optional>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -242,15 +241,27 @@ Status ImpactStage::Run(CycleContext& ctx) {
     uint64_t type_id = 0;
     const QueryType* type = nullptr;
     size_t live = 0;
+    /// The multi-table soundness guard applies (see the fan-out below):
+    /// the batch updated two or more of the template's FROM relations.
+    /// Identical for every instance (templates parameterize only WHERE
+    /// literals). Such a type never reads a probe: it is ineligible for
+    /// the partition, and its fan-out stops at the guard.
+    bool guarded = false;
   };
   std::vector<TypeBlock> blocks;  // Ascending type_id — the scan order.
   plane.ForEachType([&](const QueryType& type) {
-    blocks.push_back({type.type_id, &type, 0});
+    int delta_tables = 0;
+    if (type.tmpl.statement != nullptr) {
+      for (const sql::TableRef& ref : type.tmpl.statement->from) {
+        if (!ctx.deltas.ForTable(ref.table).empty()) ++delta_tables;
+      }
+    }
+    blocks.push_back({type.type_id, &type, 0, delta_tables >= 2});
   });
   for (TypeBlock& block : blocks) {
     plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
       block.live = shard.registry.NumInstancesOfType(block.type_id);
-      if (block.live == 0) return;
+      if (block.live == 0 || block.guarded) return;
       auto matcher_it = shard.matchers.find(block.type_id);
       if (matcher_it == shard.matchers.end() ||
           !matcher_it->second.handled()) {
@@ -270,26 +281,13 @@ Status ImpactStage::Run(CycleContext& ctx) {
         env_.cycle_matcher_stats->probes += ctx.merged[t].tuples.size();
         ++env_.cycle_matcher_stats->batch_probes;
         shard.bind_index.ProbeBatch(
-            block.type_id, ctx.merged[t].table, *anchor,
+            block.type_id, *anchor,
             ctx.batch_columns[t].Column(anchor->column_index),
             &probes[std::make_pair(block.type_id, t)],
             env_.cycle_matcher_stats);
       }
     });
   }
-
-  // The multi-table soundness guard's input (see the fan-out below): how
-  // many of a statement's FROM relations this batch updated. Identical
-  // for every instance of a type, so the partition evaluates it per type
-  // from the type's template; the per-instance map for the fan-out is
-  // filled from the final work list further down.
-  const auto count_delta_tables = [&](const sql::SelectStatement& statement) {
-    int n = 0;
-    for (const sql::TableRef& ref : statement.from) {
-      if (!ctx.deltas.ForTable(ref.table).empty()) ++n;
-    }
-    return n;
-  };
 
   // ---- Partition: build the work list per type, skipping the fan-out —
   // and the per-instance state entirely — for instances the probes
@@ -328,8 +326,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
                                                        nullptr);
     uint64_t covered_tuples = 0;
     uint64_t covered_views = 0;
-    bool eligible =
-        statement != nullptr && count_delta_tables(*statement) < 2;
+    bool eligible = statement != nullptr && !block.guarded;
     if (eligible) {
       for (size_t t = 0; eligible && t < ctx.merged.size(); ++t) {
         auto probe_it = probes.find(std::make_pair(block.type_id, t));
@@ -363,6 +360,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
               analysis.instance_id = instance.instance_id;
               analysis.instance = &instance;
               analysis.exact = exact;
+              analysis.multi_table_guard = block.guarded && !exact;
               work.push_back(std::move(analysis));
             });
       });
@@ -412,16 +410,6 @@ Status ImpactStage::Run(CycleContext& ctx) {
     }
   }
 
-  // Per-type multi-table guard counts for the fan-out, from the final
-  // work list (an instance's FROM list equals its type's template FROM
-  // list — templates parameterize only WHERE literals).
-  std::unordered_map<uint64_t, int> delta_tables_by_type;
-  for (const InstanceAnalysis& a : work) {
-    if (delta_tables_by_type.contains(a.type_id)) continue;
-    delta_tables_by_type.emplace(a.type_id,
-                                 count_delta_tables(*a.instance->statement));
-  }
-
   // Fan out: instances are independent given the batch's deltas. Workers
   // touch only const reads (deltas, schemas, the QI/URL map, the probe
   // results, join-index answers behind a shared lock) and their own work
@@ -467,10 +455,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
       return;
     }
 
-    if (delta_tables_by_type.find(a.type_id)->second >= 2) {
-      a.multi_table_guard = true;
-      return;
-    }
+    if (a.multi_table_guard) return;
 
     Micros check_start = env_.clock->NowMicros();
     bool affected = false;

@@ -1,6 +1,8 @@
 #include "invalidator/type_matcher.h"
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/strings.h"
 #include "sql/analyzer.h"
@@ -16,6 +18,7 @@ struct ResolvedColumn {
   std::string table_lower;
   std::string column;
   size_t column_index = 0;
+  db::ColumnType type = db::ColumnType::kInt;
 };
 
 /// Anchor preference: cheaper/tighter probes win when several conjuncts
@@ -35,6 +38,10 @@ int AnchorRank(AnchorRel rel) {
       return 3;
   }
   return 3;
+}
+
+bool IsEquality(AnchorRel rel) {
+  return rel == AnchorRel::kEq || rel == AnchorRel::kIn;
 }
 
 std::optional<AnchorOperand> OperandFrom(const sql::Expression& expr) {
@@ -144,6 +151,7 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
       resolved.table_lower = std::move(table_lower);
       resolved.column = col.column();
       resolved.column_index = *index;
+      resolved.type = t->schema().columns()[*index].type;
       return resolved;
     }
     return std::nullopt;
@@ -157,6 +165,7 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
     anchor.column_index = column.column_index;
     anchor.rel = rel;
     anchor.operands = std::move(operands);
+    anchor.postings_table_lower = anchor.table_lower;
     auto it = matcher.anchors_.find(anchor.table_lower);
     if (it == matcher.anchors_.end()) {
       matcher.anchors_.emplace(anchor.table_lower, std::move(anchor));
@@ -165,6 +174,7 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
     }
   };
 
+  std::vector<std::pair<ResolvedColumn, ResolvedColumn>> joins;
   for (const sql::Expression* conjunct : sql::SplitConjuncts(*qualified)) {
     switch (conjunct->kind()) {
       case sql::ExprKind::kBinary: {
@@ -175,12 +185,7 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
         if (left.has_value() && right.has_value()) {
           if (bin.op() == sql::BinaryOp::kEq &&
               left->table_lower != right->table_lower) {
-            JoinTerm join;
-            join.left_table_lower = left->table_lower;
-            join.left_column = left->column;
-            join.right_table_lower = right->table_lower;
-            join.right_column = right->column;
-            matcher.join_terms_.push_back(std::move(join));
+            joins.emplace_back(std::move(*left), std::move(*right));
           }
           break;
         }
@@ -235,6 +240,74 @@ TypeMatcher TypeMatcher::Compile(const QueryType& type,
 
   if (matcher.anchors_.empty()) {
     matcher.fallback_reason_ = "no indexable conjunct in template WHERE";
+    return matcher;
+  }
+
+  // ---- Close the own anchors over the join terms' equivalence classes.
+  // Union-find over the columns the join terms mention yields every class
+  // at once, so a chain A.x = B.x AND B.x = C.x reaches its fixpoint in
+  // one pass (see the class comment for why the derivation is sound).
+  std::vector<ResolvedColumn> columns;
+  std::vector<size_t> parent;
+  auto node_of = [&](const ResolvedColumn& column) {
+    for (size_t i = 0; i < columns.size(); ++i) {
+      if (columns[i].table_lower == column.table_lower &&
+          columns[i].column_index == column.column_index) {
+        return i;
+      }
+    }
+    columns.push_back(column);
+    parent.push_back(parent.size());
+    return columns.size() - 1;
+  };
+  auto root_of = [&](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  for (const auto& [left, right] : joins) {
+    parent[root_of(node_of(left))] = root_of(node_of(right));
+  }
+
+  std::map<std::string, CompiledAnchor> derived;  // By target table.
+  for (size_t target = 0; target < columns.size(); ++target) {
+    const ResolvedColumn& column = columns[target];
+    auto own = matcher.anchors_.find(column.table_lower);
+    if (own != matcher.anchors_.end() && IsEquality(own->second.rel)) {
+      continue;  // An own `=` or IN anchor wins.
+    }
+    const CompiledAnchor* source = nullptr;
+    bool nan_free = true;
+    for (size_t other = 0; other < columns.size(); ++other) {
+      if (other == target || root_of(other) != root_of(target)) continue;
+      if (columns[other].type == db::ColumnType::kDouble) {
+        nan_free = false;
+        break;
+      }
+      if (columns[other].table_lower == column.table_lower) continue;
+      auto it = matcher.anchors_.find(columns[other].table_lower);
+      if (it == matcher.anchors_.end() || !IsEquality(it->second.rel) ||
+          it->second.column_index != columns[other].column_index) {
+        continue;
+      }
+      if (source == nullptr ||
+          AnchorRank(it->second.rel) < AnchorRank(source->rel)) {
+        source = &it->second;
+      }
+    }
+    if (!nan_free || source == nullptr) continue;
+    auto pending = derived.find(column.table_lower);
+    if (pending != derived.end() &&
+        AnchorRank(pending->second.rel) <= AnchorRank(source->rel)) {
+      continue;
+    }
+    CompiledAnchor anchor = *source;
+    anchor.table_lower = column.table_lower;
+    anchor.column = column.column;
+    anchor.column_index = column.column_index;
+    derived.insert_or_assign(column.table_lower, std::move(anchor));
+  }
+  for (auto& [table_lower, anchor] : derived) {
+    matcher.anchors_.insert_or_assign(table_lower, std::move(anchor));
   }
   return matcher;
 }

@@ -42,16 +42,14 @@ struct CompiledAnchor {
   /// 1 comparand for =,<,<=,>,>=; the list for IN; {low, high} for
   /// BETWEEN.
   std::vector<AnchorOperand> operands;
-};
+  /// The table whose BindIndex postings this anchor probes. For an own
+  /// anchor it is `table_lower`. For an anchor derived through join
+  /// terms it is the table holding the source anchor: same relation and
+  /// operands, hence the same keys, so the derived anchor reads the
+  /// source's postings with this table's column and adds none.
+  std::string postings_table_lower;
 
-/// A `T1.c1 = T2.c2` equality across two FROM tables, recorded for
-/// introspection (polling consolidation and future join indexes); join
-/// terms are not indexed.
-struct JoinTerm {
-  std::string left_table_lower;
-  std::string left_column;
-  std::string right_table_lower;
-  std::string right_column;
+  bool derived() const { return postings_table_lower != table_lower; }
 };
 
 /// Compiles a query type's template once (at first instance registration,
@@ -64,18 +62,31 @@ struct JoinTerm {
 /// handle — OR-rooted WHERE, NOT, LIKE, <>, expressions over the column —
 /// simply produce no anchors and stay on the interpreted path, keeping
 /// decisions and stats byte-identical.
+///
+/// Join terms close anchors over equivalence classes (the paper's §4
+/// "unaffected" verdict, computed once per type): the top-level `=`
+/// join terms partition columns into classes, and a table's own `=` or
+/// IN anchor on a class column is a source. Every other FROM table with
+/// a column in that class gets a derived anchor — same relation and
+/// operands, on its own column — unless it has an own `=` or IN anchor.
+/// A tuple of that table whose value makes `col = operand` definitely
+/// FALSE cannot join a row that satisfies the source: every TRUE chain
+/// `v = s = G` implies NumKey(v) == NumKey(G) (or equal strings), except
+/// through a NaN cell, which compares equal to every number. So every
+/// class column other than the probed one must be declared INT or
+/// STRING; a DOUBLE column elsewhere in the class blocks the derivation.
 class TypeMatcher {
  public:
   static TypeMatcher Compile(const QueryType& type,
                              const db::Database& database);
 
-  /// The anchor covering `table_lower`, or nullptr (interpreted path).
+  /// The anchor covering `table_lower` (own or derived), or nullptr
+  /// (interpreted path).
   const CompiledAnchor* AnchorFor(const std::string& table_lower) const;
 
   const std::map<std::string, CompiledAnchor>& anchors() const {
     return anchors_;
   }
-  const std::vector<JoinTerm>& join_terms() const { return join_terms_; }
 
   /// True when at least one table is covered by an anchor.
   bool handled() const { return !anchors_.empty(); }
@@ -92,7 +103,6 @@ class TypeMatcher {
 
  private:
   std::map<std::string, CompiledAnchor> anchors_;  // By table_lower.
-  std::vector<JoinTerm> join_terms_;
   std::string fallback_reason_;
 };
 

@@ -5,6 +5,16 @@
 
 namespace cacheportal::sql {
 
+std::optional<double> NumericKey(const Value& v) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  if (v.is_int() && (v.AsInt() > kTwo53 || v.AsInt() < -kTwo53)) {
+    return std::nullopt;
+  }
+  double d = v.NumericAsDouble();
+  if (std::isnan(d)) return std::nullopt;
+  return d == 0.0 ? 0.0 : d;
+}
+
 ColumnBatch ColumnBatch::FromRows(
     const std::vector<const std::vector<Value>*>& rows) {
   ColumnBatch batch;
@@ -28,14 +38,11 @@ ColumnBatch ColumnBatch::FromRows(
       ColumnVector& col = batch.columns_[c];
       const Value& v = row[c];
       if (v.is_numeric()) {
-        // The same key normalization the bind index uses: widen like
-        // Value::Compare, fold -0.0 into +0.0 (equal but hashes apart),
-        // and route NaN to the always lane (unordered against every
-        // comparand; a NaN key would also corrupt the sorted maps).
-        double d = v.NumericAsDouble();
-        if (!std::isnan(d)) {
+        // The same key the bind index uses; keyless numerics keep the
+        // kAlways default.
+        if (std::optional<double> key = NumericKey(v)) {
           col.klass[i] = CellClass::kNumeric;
-          col.num[i] = d == 0.0 ? 0.0 : d;
+          col.num[i] = *key;
           ++col.num_count;
         }
       } else if (v.is_string()) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,19 +21,27 @@ namespace cacheportal::sql {
 ///  - kAlways cells can never fold a comparison to FALSE: NULL makes
 ///    every comparison NULL, booleans are outside the indexed classes,
 ///    a missing cell (row shorter than the column index) is treated as
-///    malformed and analyzed by everyone, and a NaN numeric key is
-///    unordered against every comparand (and would break the sorted
-///    probe maps' strict weak ordering), so it rides the always lane.
+///    malformed and analyzed by everyone, and a numeric without a
+///    NumericKey (NaN, or an int beyond ±2^53) cannot be compared
+///    through a double key (a NaN key would also break the sorted probe
+///    maps' strict weak ordering), so it rides the always lane.
 enum class CellClass : uint8_t {
   kNumeric = 0,
   kString,
   kAlways,
 };
 
+/// The comparable key of a numeric value: Value::Compare's widening to
+/// double, with -0.0 folded into +0.0 (equal, but hashes apart).
+/// nullopt for NaN, which is unordered against every comparand, and for
+/// an int beyond ±2^53: its widening is lossy while int–int comparisons
+/// stay exact (2^53 < 2^53 + 1, yet both widen to 2^53). Values without
+/// a key ride the always lane; they can exclude nothing.
+std::optional<double> NumericKey(const Value& v);
+
 /// One column of a batch: a class tag per row plus parallel key arrays.
-/// `num[i]` is meaningful only where `klass[i] == kNumeric` (the
-/// Value::Compare widening of the cell, with -0.0 folded into +0.0 and
-/// never NaN); `str[i]` only where `klass[i] == kString` (borrowed from
+/// `num[i]` is meaningful only where `klass[i] == kNumeric` (the cell's
+/// NumericKey); `str[i]` only where `klass[i] == kString` (borrowed from
 /// the source row). The flat tag + key layout keeps the per-entry
 /// evaluation kernels branch-light and auto-vectorizable.
 struct ColumnVector {

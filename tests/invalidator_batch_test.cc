@@ -223,7 +223,7 @@ TEST(ProbeBatchPropertyTest, AgreesWithThreeValuedEvaluationOfTheAnchor) {
 
       BindIndex::BatchProbe got;
       MatcherStats stats;
-      index.ProbeBatch(entry.type_id, "t", *anchor,
+      index.ProbeBatch(entry.type_id, *anchor,
                        batch.Column(anchor->column_index), &got, &stats);
       EXPECT_TRUE(AscendingUnique(got.all_rows));
       const std::set<uint32_t> all(got.all_rows.begin(), got.all_rows.end());
@@ -286,7 +286,7 @@ class NaNBindTest : public ::testing::Test {
     const db::Row row = {tuple};
     sql::ColumnBatch batch = sql::ColumnBatch::FromRows({&row});
     BindIndex::BatchProbe probe;
-    index.ProbeBatch(type_id, "t", anchor, batch.Column(anchor.column_index),
+    index.ProbeBatch(type_id, anchor, batch.Column(anchor.column_index),
                      &probe, nullptr);
     return probe;
   }
@@ -383,6 +383,34 @@ TEST_F(NaNBindTest, EqInAndBetweenNaNBindsRouteToAlwaysLists) {
   // BETWEEN: tuple 20 is outside [1, 9]; the NaN-bounded pair stays.
   EXPECT_EQ(ProbeIds(index, 3, between_anchor, Value::Int(20)),
             (std::vector<uint64_t>{5}));
+}
+
+// Ints beyond ±2^53 compare exactly against each other but widen to tied
+// keys: 2^53 < 2^53 + 1 is TRUE, and both keys are 2^53. Such binds and
+// tuple values must never be excluded through the key.
+TEST_F(NaNBindTest, IntsBeyondTwoTo53AreNeverExcludedThroughTiedKeys) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  QueryType lt_type, gt_type;
+  TypeMatcher lt = CompileType(db_, 1, "SELECT * FROM T WHERE c < 1",
+                               &lt_type);
+  TypeMatcher gt = CompileType(db_, 2, "SELECT * FROM T WHERE c > 1",
+                               &gt_type);
+  BindIndex index;
+  index.AddInstance(lt, MakeInstance(1, 1, {Value::Int(kTwo53 + 1)}));
+  index.AddInstance(lt, MakeInstance(2, 1, {Value::Int(5)}));
+  index.AddInstance(gt, MakeInstance(3, 2, {Value::Int(kTwo53)}));
+
+  // 2^53 < 2^53 + 1: the lossy bind is an always candidate.
+  EXPECT_EQ(ProbeIds(index, 1, *lt.AnchorFor("t"), Value::Int(kTwo53)),
+            (std::vector<uint64_t>{1}));
+  // 2^53 + 1 > 2^53: the lossy tuple value reaches every instance.
+  BindIndex::BatchProbe probe =
+      ProbeRow(index, 2, *gt.AnchorFor("t"), Value::Int(kTwo53 + 1));
+  EXPECT_EQ(probe.all_rows, std::vector<uint32_t>{0});
+  // Doubles and ints within ±2^53 keep exact keys and stay indexed.
+  EXPECT_TRUE(ProbeIds(index, 2, *gt.AnchorFor("t"),
+                       Value::Double(9007199254740992.0))
+                  .empty());
 }
 
 // ---------------------------------------------------------------------------

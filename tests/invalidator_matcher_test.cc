@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,6 +18,11 @@
 #include "invalidator/type_matcher.h"
 #include "pinned_run.h"
 #include "sniffer/qiurl_map.h"
+#include "sql/analyzer.h"
+#include "sql/column_batch.h"
+#include "sql/eval.h"
+#include "sql/printer.h"
+#include "sql/template.h"
 
 namespace cacheportal::invalidator {
 namespace {
@@ -554,6 +564,439 @@ TEST(TypeMatcherTest, SelfJoinFallsBackToInterpreted) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(inv.matcher_stats().tuples_excluded, 0u);
   EXPECT_EQ(inv.metadata().NumIndexedInstances(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Join-term closure: anchors derived through `=` join terms share their
+// source anchor's postings.
+// ---------------------------------------------------------------------------
+
+using sql::Value;
+
+/// An instance of a hand-compiled type; AddInstance reads only the IDs
+/// and the bindings.
+QueryInstance BareInstance(uint64_t instance_id, std::vector<Value> bindings) {
+  QueryInstance instance;
+  instance.instance_id = instance_id;
+  instance.type_id = 1;
+  instance.sql = StrCat("instance-", instance_id);
+  instance.bindings = std::move(bindings);
+  return instance;
+}
+
+/// The candidate ids of a probe, ascending.
+std::vector<uint64_t> CandidateIds(const BindIndex::BatchProbe& probe) {
+  std::vector<uint64_t> ids;
+  for (const auto& [id, rows] : probe.per_id) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+class JoinClosureTest : public ::testing::Test {
+ protected:
+  JoinClosureTest() : db_(&clock_) {}
+
+  void SetUp() override {
+    AddTable("SmallT", {{"id", db::ColumnType::kInt},
+                        {"grp", db::ColumnType::kInt},
+                        {"val", db::ColumnType::kInt}});
+    AddTable("LargeT", {{"id", db::ColumnType::kInt},
+                        {"grp", db::ColumnType::kInt},
+                        {"val", db::ColumnType::kInt}});
+    AddTable("A", {{"x", db::ColumnType::kInt},
+                   {"y", db::ColumnType::kInt},
+                   {"s", db::ColumnType::kString}});
+    AddTable("B", {{"x", db::ColumnType::kInt},
+                   {"w", db::ColumnType::kInt},
+                   {"s", db::ColumnType::kString},
+                   {"d", db::ColumnType::kDouble}});
+    AddTable("C", {{"x", db::ColumnType::kInt}});
+    AddTable("D", {{"d", db::ColumnType::kDouble}});
+  }
+
+  void AddTable(const std::string& name, std::vector<db::ColumnDef> columns) {
+    ASSERT_TRUE(
+        db_.CreateTable(db::TableSchema(name, std::move(columns))).ok());
+  }
+
+  TypeMatcher Compile(const std::string& sql) {
+    QueryType type;
+    type.type_id = 1;
+    type.name = "type1";
+    type.tmpl = sql::ExtractTemplateFromSql(sql).value();
+    return TypeMatcher::Compile(type, db_);
+  }
+
+  ManualClock clock_;
+  db::Database db_;
+};
+
+TEST_F(JoinClosureTest, HeavyShapeDerivesLargeTAnchorSharingSmallTPostings) {
+  TypeMatcher matcher = Compile(
+      "SELECT SmallT.id, LargeT.val FROM SmallT, LargeT WHERE SmallT.grp = "
+      "LargeT.grp AND SmallT.grp = 7");
+  const CompiledAnchor* own = matcher.AnchorFor("smallt");
+  ASSERT_NE(own, nullptr);
+  EXPECT_FALSE(own->derived());
+  const CompiledAnchor* derived = matcher.AnchorFor("larget");
+  ASSERT_NE(derived, nullptr);
+  EXPECT_TRUE(derived->derived());
+  EXPECT_EQ(derived->postings_table_lower, "smallt");
+  EXPECT_EQ(derived->column, "grp");
+  EXPECT_EQ(derived->column_index, 1u);
+  EXPECT_EQ(derived->rel, AnchorRel::kEq);
+  ASSERT_EQ(derived->operands.size(), 1u);
+  EXPECT_EQ(derived->operands[0].ordinal, 1);
+
+  BindIndex index;
+  for (int g = 1; g <= 5; ++g) {
+    index.AddInstance(matcher, BareInstance(10 + g, {Value::Int(g)}));
+  }
+  // LargeT rows: grp 3 twice, an unmatched 9, a NULL and a double 2.0.
+  const std::vector<db::Row> rows = {
+      {Value::Int(1), Value::Int(3), Value::Int(0)},
+      {Value::Int(2), Value::Int(3), Value::Int(0)},
+      {Value::Int(3), Value::Int(9), Value::Int(0)},
+      {Value::Int(4), Value::Null(), Value::Int(0)},
+      {Value::Int(5), Value::Double(2.0), Value::Int(0)}};
+  std::vector<const db::Row*> pointers;
+  for (const db::Row& row : rows) pointers.push_back(&row);
+  sql::ColumnBatch batch = sql::ColumnBatch::FromRows(pointers);
+  auto probe = [&] {
+    BindIndex::BatchProbe out;
+    index.ProbeBatch(1, *derived, batch.Column(derived->column_index), &out,
+                     nullptr);
+    return out;
+  };
+  BindIndex::BatchProbe first = probe();
+  EXPECT_EQ(first.all_rows, std::vector<uint32_t>{3});
+  EXPECT_EQ(CandidateIds(first), (std::vector<uint64_t>{12, 13}));
+  EXPECT_EQ(first.per_id[13], (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(first.per_id[12], std::vector<uint32_t>{4});
+
+  // Retiring through the source's postings retires the derived probe's
+  // candidate too: there is one set of postings.
+  index.RemoveInstance(13);
+  EXPECT_EQ(CandidateIds(probe()), std::vector<uint64_t>{12});
+  EXPECT_EQ(index.NumIndexedInstances(), 4u);
+}
+
+TEST_F(JoinClosureTest, ThreeTableChainAnchorsEveryTable) {
+  for (const char* sql :
+       {"SELECT A.y FROM A, B, C WHERE A.x = B.x AND B.x = C.x AND A.x = 4",
+        "SELECT A.y FROM A, B, C WHERE C.x = B.x AND 4 = A.x AND B.x = A.x"}) {
+    SCOPED_TRACE(sql);
+    TypeMatcher matcher = Compile(sql);
+    ASSERT_NE(matcher.AnchorFor("a"), nullptr);
+    EXPECT_FALSE(matcher.AnchorFor("a")->derived());
+    for (const char* table : {"b", "c"}) {
+      const CompiledAnchor* anchor = matcher.AnchorFor(table);
+      ASSERT_NE(anchor, nullptr) << table;
+      EXPECT_EQ(anchor->postings_table_lower, "a");
+      EXPECT_EQ(anchor->column, "x");
+      EXPECT_EQ(anchor->rel, AnchorRel::kEq);
+    }
+  }
+  // An IN source derives IN anchors.
+  TypeMatcher in = Compile(
+      "SELECT A.y FROM A, B WHERE A.x = B.x AND A.x IN (1, 2, 3)");
+  ASSERT_NE(in.AnchorFor("b"), nullptr);
+  EXPECT_EQ(in.AnchorFor("b")->rel, AnchorRel::kIn);
+  EXPECT_EQ(in.AnchorFor("b")->operands.size(), 3u);
+}
+
+TEST_F(JoinClosureTest, ShapesThatDeriveNothing) {
+  // B appears twice in FROM: one column index cannot cover both rows.
+  EXPECT_EQ(Compile("SELECT A.y FROM A, B, B b2 WHERE A.x = B.x AND "
+                    "A.x = 4")
+                .AnchorFor("b"),
+            nullptr);
+  // A `<` join term is not an equality.
+  EXPECT_EQ(Compile("SELECT A.y FROM A, B WHERE A.x < B.x AND A.x = 4")
+                .AnchorFor("b"),
+            nullptr);
+  // The anchor sits on a column outside the join term's class.
+  EXPECT_EQ(Compile("SELECT A.y FROM A, B WHERE A.x = B.x AND A.y = 4")
+                .AnchorFor("b"),
+            nullptr);
+  // LIKE anchors nothing, so there is nothing to carry.
+  TypeMatcher like = Compile(
+      "SELECT A.y FROM A, B WHERE A.s = B.s AND A.s LIKE 'a%'");
+  EXPECT_FALSE(like.handled());
+  EXPECT_EQ(like.AnchorFor("b"), nullptr);
+  // OR-rooted WHERE has no top-level conjuncts to close.
+  TypeMatcher ored = Compile(
+      "SELECT A.y FROM A, B WHERE A.x = B.x AND A.x = 4 OR A.y = 2");
+  EXPECT_FALSE(ored.handled());
+  EXPECT_EQ(ored.AnchorFor("b"), nullptr);
+  // A DOUBLE column in the class can hold NaN, which equals every
+  // number: the chain A.x = D.d = 4 no longer forces A.x = 4.
+  EXPECT_EQ(Compile("SELECT A.y FROM A, D WHERE A.x = D.d AND D.d = 4")
+                .AnchorFor("a"),
+            nullptr);
+  // The probed column itself may be DOUBLE: a NaN tuple value probes as
+  // an always-candidate row.
+  TypeMatcher onto_double =
+      Compile("SELECT A.y FROM A, D WHERE A.x = D.d AND A.x = 4");
+  ASSERT_NE(onto_double.AnchorFor("d"), nullptr);
+  EXPECT_TRUE(onto_double.AnchorFor("d")->derived());
+  // The chain B.x = C.x = B.d = A.x passes through the probed tuple's own
+  // DOUBLE column: a NaN there joins every C and A row, so B.x cannot be
+  // anchored. B.d, the NaN-able link itself, can.
+  TypeMatcher through_tuple =
+      Compile("SELECT A.y FROM A, B, C WHERE B.x = C.x AND C.x = B.d AND "
+              "B.d = A.x AND A.x = 4");
+  ASSERT_NE(through_tuple.AnchorFor("b"), nullptr);
+  EXPECT_EQ(through_tuple.AnchorFor("b")->column, "d");
+}
+
+TEST_F(JoinClosureTest, OwnEqualityAnchorBeatsDerived) {
+  TypeMatcher own = Compile(
+      "SELECT A.y FROM A, B WHERE A.x = B.x AND A.x = 4 AND B.w = 5");
+  ASSERT_NE(own.AnchorFor("b"), nullptr);
+  EXPECT_FALSE(own.AnchorFor("b")->derived());
+  EXPECT_EQ(own.AnchorFor("b")->column, "w");
+  // An own range anchor probes worse than an equality: the derived one
+  // replaces it.
+  TypeMatcher range = Compile(
+      "SELECT A.y FROM A, B WHERE A.x = B.x AND A.x = 4 AND B.w < 5");
+  ASSERT_NE(range.AnchorFor("b"), nullptr);
+  EXPECT_TRUE(range.AnchorFor("b")->derived());
+  EXPECT_EQ(range.AnchorFor("b")->column, "x");
+}
+
+// A type whose FROM tables the batch updated two of is ejected by the
+// multi-table guard without reading a probe, so it is not probed at all.
+TEST_F(JoinClosureTest, GuardedTypeIsNotProbed) {
+  sniffer::QiUrlMap map;
+  RecordingSink sink;
+  Invalidator inv(&db_, &map, &clock_, {});
+  inv.AddSink(&sink);
+  map.Add("SELECT SmallT.id FROM SmallT, LargeT WHERE SmallT.grp = "
+          "LargeT.grp AND SmallT.grp = 1",
+          "shop/heavy?##", "/r", 0);
+  ASSERT_TRUE(inv.RunCycle().ok());  // Registers the instance.
+  auto probes_of_cycle = [&](const std::vector<std::string>& inserts) {
+    const uint64_t before = inv.matcher_stats().batch_probes;
+    for (const std::string& sql : inserts) db_.ExecuteSql(sql).value();
+    sink.invalidated.clear();
+    EXPECT_TRUE(inv.RunCycle().ok());
+    return inv.matcher_stats().batch_probes - before;
+  };
+  EXPECT_EQ(probes_of_cycle({"INSERT INTO SmallT VALUES (1, 5, 0)",
+                             "INSERT INTO LargeT VALUES (2, 5, 0)"}),
+            0u);
+  EXPECT_EQ(sink.invalidated, std::set<std::string>{"shop/heavy?##"});
+  map.Add("SELECT SmallT.id FROM SmallT, LargeT WHERE SmallT.grp = "
+          "LargeT.grp AND SmallT.grp = 1",
+          "shop/heavy?##", "/r", 0);
+  // A LargeT-only batch probes the derived anchor once and, for a tuple
+  // of another group, ejects nothing.
+  EXPECT_EQ(probes_of_cycle({"INSERT INTO LargeT VALUES (3, 5, 0)"}), 1u);
+  EXPECT_TRUE(sink.invalidated.empty());
+}
+
+// Soundness of every anchor, own or derived, against the evaluator: on
+// random schemas, binds and rows drawn from INT, DOUBLE (integral, ±0.0,
+// NaN, beyond 2^53), NULL and strings, whenever ProbeBatch excludes an
+// instance for a delta row, the instance's bound WHERE is not TRUE for
+// that row joined with ANY rows of the other tables.
+
+/// A value of the zoo that the column type can store.
+Value ZooValue(Random& rng, db::ColumnType type) {
+  constexpr double kTwo53 = 9007199254740992.0;
+  for (;;) {
+    Value v;
+    switch (rng.Uniform(9)) {
+      case 0:
+        v = Value::Null();
+        break;
+      case 1:
+        v = Value::String(StrCat("s", rng.Uniform(3)));
+        break;
+      case 2:
+        v = Value::Double(std::numeric_limits<double>::quiet_NaN());
+        break;
+      case 3:
+        v = Value::Double(rng.OneIn(0.5) ? 0.0 : -0.0);
+        break;
+      case 4:
+        v = Value::Double(kTwo53 + 2.0 * static_cast<double>(rng.Uniform(2)));
+        break;
+      case 5:
+        v = Value::Int(static_cast<int64_t>(kTwo53) +
+                       static_cast<int64_t>(rng.Uniform(3)));
+        break;
+      case 6:
+        v = Value::Double(static_cast<double>(rng.Uniform(2)));
+        break;
+      default:
+        v = Value::Int(static_cast<int64_t>(rng.Uniform(2)));
+        break;
+    }
+    if (db::ValueMatchesType(v, type)) return v;
+  }
+}
+
+/// A bind value: anything in the zoo.
+Value ZooBind(Random& rng) {
+  switch (rng.Uniform(3)) {
+    case 0:
+      return ZooValue(rng, db::ColumnType::kString);
+    default:
+      return ZooValue(rng, db::ColumnType::kDouble);
+  }
+}
+
+std::string RowText(const db::Row& row) {
+  std::string text;
+  for (const Value& v : row) {
+    text += (text.empty() ? "" : ", ") + v.ToSqlLiteral() +
+            (v.is_double() ? "d" : "");
+  }
+  return text;
+}
+
+std::string JoinedText(const std::map<std::string, const db::Row*>& rows) {
+  std::string text;
+  for (const auto& [table, row] : rows) {
+    text += StrCat(table, "(", RowText(*row), ") ");
+  }
+  return text;
+}
+
+/// Resolves `table.column` against one row per FROM table.
+class JoinRowResolver : public sql::ColumnResolver {
+ public:
+  JoinRowResolver(const db::Database& db,
+                  const std::map<std::string, const db::Row*>& rows)
+      : db_(db), rows_(rows) {}
+  std::optional<Value> Resolve(const std::string& table,
+                               const std::string& column) const override {
+    auto it = rows_.find(AsciiToLower(table));
+    if (it == rows_.end()) return std::nullopt;
+    std::optional<size_t> index =
+        db_.FindTable(table)->schema().ColumnIndex(column);
+    if (!index.has_value()) return std::nullopt;
+    return (*it->second)[*index];
+  }
+
+ private:
+  const db::Database& db_;
+  const std::map<std::string, const db::Row*>& rows_;
+};
+
+TEST(JoinClosurePropertyTest, ExclusionImpliesNoJoinedRowSatisfiesTheWhere) {
+  const char* kShapes[] = {
+      "SELECT A.y FROM A, B WHERE A.x = B.x AND A.x = 1",
+      "SELECT A.y FROM A, B, C WHERE A.x = B.x AND B.x = C.x AND A.x = 1",
+      "SELECT A.y FROM A, B WHERE B.x = A.x AND A.x IN (1, 2)",
+      "SELECT A.y FROM A, B, C WHERE C.x = B.x AND A.x = C.x AND 1 = A.x "
+      "AND B.y < 3",
+      // The chain runs through a second column of the probed tuple.
+      "SELECT A.y FROM A, B, C WHERE B.x = C.x AND C.x = B.y AND B.y = A.x "
+      "AND A.x = 1",
+  };
+  // INT twice: chains of integer links are the ones a NaN cell breaks.
+  const db::ColumnType kTypes[] = {db::ColumnType::kInt, db::ColumnType::kInt,
+                                   db::ColumnType::kDouble,
+                                   db::ColumnType::kString};
+  uint64_t derived_exclusions = 0;
+  uint64_t derived_shapes = 0;
+  for (uint64_t seed = 1; seed <= 1000; ++seed) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Random rng(seed);
+    ManualClock clock;
+    db::Database db(&clock);
+    std::map<std::string, std::vector<db::ColumnType>> types;
+    for (const char* name : {"A", "B", "C"}) {
+      std::vector<db::ColumnType>& t = types[AsciiToLower(name)];
+      t = {kTypes[rng.Uniform(4)], kTypes[rng.Uniform(4)]};
+      ASSERT_TRUE(
+          db.CreateTable(db::TableSchema(name, {{"x", t[0]}, {"y", t[1]}}))
+              .ok());
+    }
+    QueryType type;
+    type.type_id = 1;
+    type.tmpl =
+        sql::ExtractTemplateFromSql(kShapes[rng.Uniform(std::size(kShapes))])
+            .value();
+    TypeMatcher matcher = TypeMatcher::Compile(type, db);
+    const sql::SelectStatement& statement = *type.tmpl.statement;
+    const size_t slots = sql::ParameterSlotCount(type.tmpl);
+
+    std::vector<QueryInstance> instances;
+    BindIndex index;
+    for (uint64_t id = 1; id <= 10; ++id) {
+      std::vector<Value> bindings;
+      for (size_t k = 0; k < slots; ++k) bindings.push_back(ZooBind(rng));
+      instances.push_back(BareInstance(id, std::move(bindings)));
+      index.AddInstance(matcher, instances.back());
+    }
+    // Four rows per FROM table.
+    std::map<std::string, std::vector<db::Row>> rows;
+    for (const sql::TableRef& ref : statement.from) {
+      const std::string table = AsciiToLower(ref.table);
+      for (int r = 0; r < 4; ++r) {
+        rows[table].push_back({ZooValue(rng, types[table][0]),
+                               ZooValue(rng, types[table][1])});
+      }
+    }
+
+    for (const auto& [table, anchor] : matcher.anchors()) {
+      if (anchor.derived()) ++derived_shapes;
+      std::vector<const db::Row*> delta;
+      for (const db::Row& row : rows[table]) delta.push_back(&row);
+      sql::ColumnBatch batch = sql::ColumnBatch::FromRows(delta);
+      BindIndex::BatchProbe probe;
+      index.ProbeBatch(1, anchor, batch.Column(anchor.column_index), &probe,
+                       nullptr);
+      for (const QueryInstance& instance : instances) {
+        auto own = probe.per_id.find(instance.instance_id);
+        std::set<uint32_t> kept(probe.all_rows.begin(), probe.all_rows.end());
+        if (own != probe.per_id.end()) {
+          kept.insert(own->second.begin(), own->second.end());
+        }
+        sql::ExpressionPtr where =
+            sql::BindParameters(*statement.where, instance.bindings).value();
+        for (uint32_t r = 0; r < delta.size(); ++r) {
+          if (kept.contains(r)) continue;
+          if (anchor.derived()) ++derived_exclusions;
+          // Every combination of the other tables' rows.
+          std::vector<std::string> others;
+          for (const auto& [name, unused] : rows) {
+            if (name != table) others.push_back(name);
+          }
+          std::map<std::string, const db::Row*> bound = {{table, delta[r]}};
+          std::vector<size_t> pick(others.size(), 0);
+          for (bool more = true; more;) {
+            for (size_t o = 0; o < others.size(); ++o) {
+              bound[others[o]] = &rows[others[o]][pick[o]];
+            }
+            Result<std::optional<bool>> verdict =
+                sql::EvalPredicate(*where, JoinRowResolver(db, bound));
+            ASSERT_TRUE(verdict.ok());
+            EXPECT_NE(*verdict, std::optional<bool>(true))
+                << "instance " << instance.instance_id << " excluded by "
+                << table << " row " << r << " (" << RowText(*delta[r])
+                << ") through " << (anchor.derived() ? "derived" : "own")
+                << " anchor on " << anchor.column << ", joined with "
+                << JoinedText(bound) << ": " << sql::ExprToSql(*where);
+            more = false;
+            for (size_t o = 0; o < others.size() && !more; ++o) {
+              if (++pick[o] < rows[others[o]].size()) {
+                more = true;
+              } else {
+                pick[o] = 0;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(derived_shapes, 20u);
+  EXPECT_GT(derived_exclusions, 200u);
 }
 
 }  // namespace

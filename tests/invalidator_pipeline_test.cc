@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -821,6 +822,209 @@ TEST_F(RetirementFeedTest, RestoreForcesAFullSweep) {
   ASSERT_TRUE(inv_->Restore(checkpoint).ok());
   EXPECT_FALSE(Cycle().contains(sqls_[5]));
 }
+
+// ---------------------------------------------------------------------------
+// Join world: browse's page shapes over SmallT/LargeT — a heavy join page
+// for every group plus single-table light and medium pages — under
+// single-table update batches on either side. Every cycle must eject the
+// pages pinned below (recorded before anchors were derived through join
+// terms), a re-execution oracle must find no page whose query result
+// changed left cached, the heavy type must be probed on either side, and
+// a LargeT-only batch may poll only the heavy instances whose group some
+// delta tuple carries.
+// ---------------------------------------------------------------------------
+
+constexpr int kJoinGroups = 6;
+
+/// Page n's query: heavy pages 0..5, light 10..15, medium 20..25.
+std::string JoinWorldSql(int page) {
+  const int grp = page % 10;
+  switch (page / 10) {
+    case 0:
+      return StrCat(
+          "SELECT COUNT(*) AS pairs, MAX(LargeT.val) AS best FROM SmallT, "
+          "LargeT WHERE SmallT.grp = LargeT.grp AND SmallT.grp = ",
+          grp);
+    case 1:
+      return StrCat("SELECT id, val FROM SmallT WHERE grp = ", grp,
+                    " ORDER BY id");
+    default:
+      return StrCat("SELECT id, val FROM LargeT WHERE grp = ", grp,
+                    " ORDER BY id");
+  }
+}
+
+std::string ResultText(const db::QueryResult& result) {
+  std::string text;
+  for (const db::Row& row : result.rows) {
+    for (const sql::Value& v : row) text += v.ToSqlLiteral() + ",";
+    text += ";";
+  }
+  return text;
+}
+
+struct JoinWorldCycle {
+  std::set<int> ejected;
+  std::set<int> stale;  // Pages whose result changed but stayed cached.
+  bool large_only = false;
+  uint64_t polls_issued = 0;
+  uint64_t heavy_groups_touched = 0;  // Heavy pages whose group a delta
+                                      // tuple of this batch carries.
+  uint64_t updates = 0;
+  uint64_t batch_probes = 0;
+};
+
+std::vector<JoinWorldCycle> RunJoinWorld(uint64_t seed, size_t workers,
+                                         size_t shards) {
+  Random rng(seed);
+  ManualClock clock;
+  db::Database db(&clock);
+  for (const char* table : {"SmallT", "LargeT"}) {
+    EXPECT_TRUE(db.CreateTable(db::TableSchema(
+                                   table, {{"id", db::ColumnType::kInt},
+                                           {"grp", db::ColumnType::kInt},
+                                           {"val", db::ColumnType::kInt}}))
+                    .ok());
+    EXPECT_TRUE(db.CreateIndex(table, "grp").ok());
+  }
+  int next_id = 0;
+  auto insert = [&](const char* table, uint64_t grp) {
+    db.ExecuteSql(StrCat("INSERT INTO ", table, " VALUES (", next_id++, ", ",
+                         grp, ", ", rng.Uniform(100), ")"))
+        .value();
+  };
+  for (int i = 0; i < 2 * kJoinGroups; ++i) insert("SmallT", i % kJoinGroups);
+  for (int i = 0; i < 5 * kJoinGroups; ++i) insert("LargeT", i % kJoinGroups);
+
+  std::vector<int> pages;
+  for (int g = 0; g < kJoinGroups; ++g) {
+    for (int base : {0, 10, 20}) pages.push_back(base + g);
+  }
+
+  sniffer::QiUrlMap map;
+  InvalidatorOptions options;
+  options.worker_threads = workers;
+  options.metadata_shards = shards;
+  Invalidator inv(&db, &map, &clock, options);
+  RecordingSink sink;
+  inv.AddSink(&sink);
+
+  std::vector<JoinWorldCycle> cycles;
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    std::map<int, std::string> before;
+    for (int page : pages) {
+      map.Add(JoinWorldSql(page), StrCat("shop/p", page, "?##"), "/r", 0);
+      before[page] = ResultText(db.ExecuteSql(JoinWorldSql(page)).value());
+    }
+
+    // One table per batch, so the multi-table guard never applies. Groups
+    // kJoinGroups and kJoinGroups + 1 have no pages.
+    JoinWorldCycle out;
+    const char* table = rng.Uniform(3) == 0 ? "SmallT" : "LargeT";
+    out.large_only = std::string(table) == "LargeT";
+    std::set<int64_t> delta_groups;
+    auto group_of = [&](int64_t id) -> std::optional<int64_t> {
+      db::QueryResult r =
+          db.ExecuteSql(StrCat("SELECT grp FROM ", table, " WHERE id = ", id))
+              .value();
+      if (r.rows.empty()) return std::nullopt;
+      return r.rows[0][0].AsInt();
+    };
+    const int batch = 1 + static_cast<int>(rng.Uniform(3));
+    for (int u = 0; u < batch; ++u) {
+      const int64_t id = static_cast<int64_t>(rng.Uniform(next_id));
+      const uint64_t grp = rng.Uniform(kJoinGroups + 2);
+      switch (rng.Uniform(4)) {
+        case 0:
+          delta_groups.insert(static_cast<int64_t>(grp));
+          insert(table, grp);
+          break;
+        case 1:
+          if (auto old = group_of(id)) delta_groups.insert(*old);
+          db.ExecuteSql(StrCat("DELETE FROM ", table, " WHERE id = ", id))
+              .value();
+          break;
+        case 2:
+          if (auto old = group_of(id)) delta_groups.insert(*old);
+          db.ExecuteSql(StrCat("UPDATE ", table, " SET val = ",
+                               rng.Uniform(100), " WHERE id = ", id))
+              .value();
+          break;
+        default:
+          if (auto old = group_of(id)) {
+            delta_groups.insert(*old);
+            delta_groups.insert(static_cast<int64_t>(grp));
+          }
+          db.ExecuteSql(StrCat("UPDATE ", table, " SET grp = ", grp,
+                               " WHERE id = ", id))
+              .value();
+          break;
+      }
+    }
+    for (int64_t g : delta_groups) {
+      if (g < kJoinGroups) ++out.heavy_groups_touched;
+    }
+
+    sink.invalidated.clear();
+    const uint64_t probes_before = inv.matcher_stats().batch_probes;
+    CycleReport report = inv.RunCycle().value();
+    out.batch_probes = inv.matcher_stats().batch_probes - probes_before;
+    out.updates = report.updates;
+    out.polls_issued = report.polls_issued;
+    out.ejected = PageNumbers(sink.invalidated);
+    for (int page : pages) {
+      if (out.ejected.contains(page)) continue;
+      if (ResultText(db.ExecuteSql(JoinWorldSql(page)).value()) !=
+          before[page]) {
+        out.stale.insert(page);
+      }
+    }
+    cycles.push_back(std::move(out));
+  }
+  return cycles;
+}
+
+// Per-cycle ejected pages, seeds 1-4, recorded with every heavy instance
+// a candidate of every LargeT tuple.
+const std::vector<std::set<int>> kJoinWorldEjected[] = {
+    {{}, {0, 2, 3, 5, 20, 22, 23, 25}, {}, {1, 4, 21, 24}, {}, {1, 21},
+     {2, 22}, {2, 22}, {4, 24}, {1, 4, 21, 24}, {2, 22}, {0, 10}},
+    {{0, 1, 20, 21}, {4, 5, 14, 15}, {}, {}, {2, 4, 22, 24}, {0, 4, 10, 14},
+     {0, 4, 20, 24}, {}, {0, 20}, {0, 20}, {5, 15}, {0, 3, 5, 20, 23}},
+    {{0, 3, 5, 20, 23, 25}, {1, 4, 5, 21, 24, 25}, {1, 4, 21, 24}, {3, 23},
+     {1, 2, 5, 21, 25}, {4, 24}, {0, 20}, {0, 10}, {},
+     {0, 1, 5, 20, 21, 25}, {1, 4, 11, 14}, {4, 24}},
+    {{}, {1, 2, 21, 22}, {}, {}, {}, {}, {3, 13}, {1, 21}, {0, 10}, {1, 21},
+     {4, 5, 24, 25}, {1, 2, 5, 21, 22, 25}},
+};
+
+class JoinWorldTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(JoinWorldTest, EjectsPinnedPagesLeavesNoStalePageAndPollsOnlyMatches) {
+  const uint64_t seed = GetParam();
+  for (auto [workers, shards] : {std::pair<size_t, size_t>{1, 1}, {4, 4}}) {
+    SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers, " shards ",
+                        shards));
+    std::vector<JoinWorldCycle> cycles = RunJoinWorld(seed, workers, shards);
+    const std::vector<std::set<int>>& pinned = kJoinWorldEjected[seed - 1];
+    ASSERT_EQ(cycles.size(), pinned.size());
+    for (size_t c = 0; c < cycles.size(); ++c) {
+      SCOPED_TRACE(StrCat("cycle ", c));
+      EXPECT_EQ(cycles[c].ejected, pinned[c]);
+      EXPECT_TRUE(cycles[c].stale.empty());
+      // Both types that read the updated table are probed: the heavy
+      // one through its own SmallT anchor or its derived LargeT anchor.
+      // (A batch whose statements matched no row logs no update.)
+      EXPECT_EQ(cycles[c].batch_probes, cycles[c].updates > 0 ? 2u : 0u);
+      if (cycles[c].large_only) {
+        EXPECT_LE(cycles[c].polls_issued, cycles[c].heavy_groups_touched);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JoinWorldTest,
+                         ::testing::Range<uint64_t>(1, 5));
 
 }  // namespace
 }  // namespace cacheportal::invalidator
