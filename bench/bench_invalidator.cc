@@ -361,6 +361,101 @@ BENCHMARK(BM_JoinClosureCycle)
     ->ArgName("instances")
     ->Unit(benchmark::kMillisecond);
 
+/// Delta-join decomposition: `instances` cached heavy-page instances
+/// (`SmallT.grp = LargeT.grp AND SmallT.grp = g`, one per group) and, each
+/// cycle, a batch that changes both tables. Cycle k inserts a SmallT and
+/// a LargeT row into group k, giving its page a first join pair (a poll
+/// hit), and deletes the two rows cycle k - 1 inserted, taking away the
+/// only pair of group k - 1 (neither side's poll sees it; the in-process
+/// pair term does). Two pages are ejected per cycle at every instance
+/// count. Ejected pages are re-cached untimed, so the cycle pays for
+/// re-registering them: the multi-table guard this replaced ejected, and
+/// re-registered, every instance each cycle.
+void BM_TwoTableBatchCycle(benchmark::State& state) {
+  const int instances = static_cast<int>(state.range(0));
+  ManualClock clock;
+  db::Database db(&clock);
+  for (const char* table : {"SmallT", "LargeT"}) {
+    db.CreateTable(db::TableSchema(table, {{"id", db::ColumnType::kInt},
+                                           {"grp", db::ColumnType::kInt},
+                                           {"val", db::ColumnType::kInt}}))
+        .ok();
+    db.CreateIndex(table, "grp").ok();
+  }
+  sniffer::QiUrlMap map;
+  invalidator::Invalidator inv(&db, &map, &clock, {});
+  std::vector<std::string> sqls;
+  for (int g = 0; g < instances; ++g) {
+    sqls.push_back(
+        StrCat("SELECT COUNT(*) AS pairs, MAX(LargeT.val) AS best FROM "
+               "SmallT, LargeT WHERE SmallT.grp = LargeT.grp AND "
+               "SmallT.grp = ",
+               g));
+  }
+  auto recache_missing = [&] {
+    for (int g = 0; g < instances; ++g) {
+      if (map.NumPagesForQuery(sqls[g]) == 0) {
+        map.Add(sqls[g], StrCat("shop/p", g, "?##"), "/r", 0);
+      }
+    }
+  };
+  int cycle = 0;
+  auto batch = [&] {
+    const int group = cycle % instances;
+    for (const char* table : {"SmallT", "LargeT"}) {
+      if (cycle > 0) {
+        db.ExecuteSql(StrCat("DELETE FROM ", table, " WHERE id = ", cycle - 1))
+            .value();
+      }
+      db.ExecuteSql(StrCat("INSERT INTO ", table, " VALUES (", cycle, ", ",
+                           group, ", 1)"))
+          .value();
+    }
+    ++cycle;
+  };
+  recache_missing();
+  inv.RunCycle().value();  // Registers every instance, untimed.
+  batch();
+  inv.RunCycle().value();  // The first batch has no deletes.
+  const invalidator::InvalidatorStats before = inv.stats();
+  const invalidator::MatcherStats matcher_before = inv.matcher_stats();
+  for (auto _ : state) {
+    state.PauseTiming();
+    recache_missing();
+    batch();
+    state.ResumeTiming();
+    auto report = inv.RunCycle();
+    benchmark::DoNotOptimize(report);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  const invalidator::InvalidatorStats& after = inv.stats();
+  const invalidator::MatcherStats matcher = inv.matcher_stats();
+  const double cycles = static_cast<double>(state.iterations());
+  state.counters["ejects/cycle"] =
+      static_cast<double>(after.pages_invalidated - before.pages_invalidated) /
+      cycles;
+  state.counters["polls/update"] =
+      static_cast<double>(after.polls_issued - before.polls_issued) /
+      static_cast<double>(after.updates_processed - before.updates_processed);
+  state.counters["round-trips/cycle"] =
+      static_cast<double>(matcher.poll_round_trips -
+                          matcher_before.poll_round_trips) /
+      cycles;
+  state.counters["delta-join-pairs/cycle"] =
+      static_cast<double>(matcher.delta_join_pairs -
+                          matcher_before.delta_join_pairs) /
+      cycles;
+  state.counters["delta-join-hits/cycle"] =
+      static_cast<double>(matcher.delta_join_hits -
+                          matcher_before.delta_join_hits) /
+      cycles;
+}
+BENCHMARK(BM_TwoTableBatchCycle)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->ArgName("instances")
+    ->Unit(benchmark::kMillisecond);
+
 /// Same with join indexes: polls answered inside the invalidator.
 void BM_CycleVsInstancesWithIndex(benchmark::State& state) {
   World world(static_cast<int>(state.range(0)), true);

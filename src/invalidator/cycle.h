@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -15,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "db/database.h"
 #include "db/delta.h"
+#include "invalidator/impact.h"
 #include "invalidator/info_manager.h"
 #include "invalidator/metadata_plane.h"
 #include "invalidator/options.h"
@@ -68,9 +70,13 @@ struct InstanceAnalysis {
   /// fan-out, no polling, never condemned conservatively.
   bool exact = false;
 
+  /// The batch changed exactly two distinct FROM tables of the type:
+  /// their views in CycleContext::merged, for the in-process pair term.
+  std::optional<std::pair<size_t, size_t>> delta_join;
+
   // Verdict.
   Status status;                   // Analysis error, reported at merge.
-  bool multi_table_guard = false;  // >= 2 FROM tables updated together.
+  bool multi_table_guard = false;  // Ejected unpolled (see ImpactStage).
   bool checked = false;
   bool affected = false;           // Decided by condition analysis.
   bool index_affected = false;     // Decided by a join-index answer.
@@ -81,14 +87,8 @@ struct InstanceAnalysis {
   // Matcher bookkeeping (merged serially into MatcherStats).
   uint64_t matcher_excluded = 0;        // Tuples pruned before analysis.
   uint64_t matcher_short_circuits = 0;  // Tables decided with no AST work.
-};
-
-/// One merged view of a table's delta tuples, built once per cycle and
-/// shared (borrowed) by every instance analysis — inserts first, then
-/// deletes, the order the per-instance copies used to have.
-struct TableTuples {
-  std::string table;  // Lower-cased (DeltaSet::Tables() key).
-  std::vector<const db::Row*> tuples;
+  uint64_t delta_join_pairs = 0;        // Pairs the pair term folded.
+  bool delta_join_hit = false;          // ... one of which decided it.
 };
 
 /// The state one synchronization cycle threads through its stages.

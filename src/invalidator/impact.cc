@@ -1,5 +1,6 @@
 #include "invalidator/impact.h"
 
+#include <algorithm>
 #include <optional>
 #include <set>
 
@@ -12,6 +13,7 @@ namespace {
 
 using sql::Expression;
 using sql::ExpressionPtr;
+using sql::FoldResult;
 
 /// Builds `left OR right` (null-tolerant).
 ExpressionPtr DisjoinExprs(ExpressionPtr left, ExpressionPtr right) {
@@ -19,6 +21,20 @@ ExpressionPtr DisjoinExprs(ExpressionPtr left, ExpressionPtr right) {
   if (right == nullptr) return left;
   return std::make_unique<sql::BinaryExpr>(sql::BinaryOp::kOr,
                                            std::move(left), std::move(right));
+}
+
+/// Substitutes `tuple`'s values for the columns of FROM entry `alias`.
+sql::ColumnSubstituter TupleSubstituter(const std::string& alias,
+                                        const db::TableSchema& schema,
+                                        const db::Row& tuple) {
+  return [&alias, &schema, &tuple](const std::string& tbl,
+                                   const std::string& col)
+             -> std::optional<sql::Value> {
+    if (!EqualsIgnoreCase(tbl, alias)) return std::nullopt;
+    std::optional<size_t> idx = schema.ColumnIndex(col);
+    if (!idx.has_value() || *idx >= tuple.size()) return std::nullopt;
+    return tuple[*idx];
+  };
 }
 
 /// Builds the polling query for a residual condition: SELECT 1 FROM the
@@ -53,6 +69,24 @@ std::unique_ptr<sql::SelectStatement> BuildPollingQuery(
 }
 
 }  // namespace
+
+ExpressionPtr ImpactAnalyzer::Qualify(const sql::SelectStatement& query,
+                                      const Expression& where) const {
+  auto owner_of =
+      [&](const std::string& column) -> std::optional<std::string> {
+    std::optional<std::string> owner;
+    for (const sql::TableRef& ref : query.from) {
+      const db::Table* t = database_->FindTable(ref.table);
+      if (t == nullptr) continue;
+      if (t->schema().ColumnIndex(column).has_value()) {
+        if (owner.has_value()) return std::nullopt;  // Ambiguous.
+        owner = ref.EffectiveName();
+      }
+    }
+    return owner;
+  };
+  return sql::QualifyColumns(where, owner_of);
+}
 
 Result<ImpactResult> ImpactAnalyzer::AnalyzeTuple(
     const sql::SelectStatement& query, const std::string& table,
@@ -100,20 +134,7 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
   }
 
   // Qualify unqualified columns so substitution is by (alias, column).
-  auto owner_of =
-      [&](const std::string& column) -> std::optional<std::string> {
-    std::optional<std::string> owner;
-    for (const sql::TableRef& ref : query.from) {
-      const db::Table* t = database_->FindTable(ref.table);
-      if (t == nullptr) continue;
-      if (t->schema().ColumnIndex(column).has_value()) {
-        if (owner.has_value()) return std::nullopt;  // Ambiguous.
-        owner = ref.EffectiveName();
-      }
-    }
-    return owner;
-  };
-  ExpressionPtr qualified = sql::QualifyColumns(*query.where, owner_of);
+  ExpressionPtr qualified = Qualify(query, *query.where);
 
   // Per-occurrence, per-tuple substitution. Verdicts combine as:
   // any TRUE -> affected outright; any residual -> needs polling (residuals
@@ -122,18 +143,8 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
   std::string residual_alias;
   for (const sql::TableRef* occ : occurrences) {
     for (const db::Row* tuple : tuples) {
-      auto substituter =
-          [&](const std::string& tbl,
-              const std::string& col) -> std::optional<sql::Value> {
-        if (!EqualsIgnoreCase(tbl, occ->EffectiveName())) {
-          return std::nullopt;
-        }
-        std::optional<size_t> idx = schema.ColumnIndex(col);
-        if (!idx.has_value()) return std::nullopt;
-        return (*tuple)[*idx];
-      };
-      ExpressionPtr substituted =
-          sql::SubstituteColumns(*qualified, substituter);
+      ExpressionPtr substituted = sql::SubstituteColumns(
+          *qualified, TupleSubstituter(occ->EffectiveName(), schema, *tuple));
       sql::FoldResult folded = sql::FoldConstants(*substituted);
       switch (folded.outcome) {
         case sql::FoldOutcome::kTrue:
@@ -163,6 +174,64 @@ Result<ImpactResult> ImpactAnalyzer::AnalyzeDelta(
   result.kind = ImpactKind::kNeedsPolling;
   result.polling_query = BuildPollingQuery(query, residual_alias,
                                            std::move(combined_residual));
+  return result;
+}
+
+Result<ImpactAnalyzer::DeltaJoinResult> ImpactAnalyzer::AnalyzeDeltaJoin(
+    const sql::SelectStatement& query, const TableTuples& r,
+    const std::vector<uint32_t>& r_rows, const TableTuples& s,
+    const std::vector<uint32_t>& s_rows) const {
+  DeltaJoinResult result;
+  if (query.where == nullptr) {  // Every pair is in the result.
+    result.affected = !r_rows.empty() && !s_rows.empty();
+    return result;
+  }
+  // The FROM entry and schema of each side.
+  const sql::TableRef* refs[2] = {nullptr, nullptr};
+  const db::TableSchema* schemas[2] = {nullptr, nullptr};
+  for (int k = 0; k < 2; ++k) {
+    const std::string& name = (k == 0 ? r : s).table;
+    for (const sql::TableRef& ref : query.from) {
+      if (EqualsIgnoreCase(ref.table, name)) refs[k] = &ref;
+    }
+    const db::Table* table = database_->FindTable(name);
+    if (refs[k] == nullptr || table == nullptr) {
+      return Status::NotFound(StrCat("table ", name));
+    }
+    schemas[k] = &table->schema();
+  }
+
+  // Both row lists ascend, so each side's deletions are its tail.
+  const auto s_deletes =
+      std::lower_bound(s_rows.begin(), s_rows.end(), s.inserts);
+  ExpressionPtr qualified = Qualify(query, *query.where);
+  for (uint32_t i : r_rows) {
+    // An inserted r pairs only with deleted s.
+    const auto first = i >= r.inserts ? s_rows.begin() : s_deletes;
+    if (first == s_rows.end()) continue;
+    FoldResult with_r = sql::FoldConstants(*sql::SubstituteColumns(
+        *qualified,
+        TupleSubstituter(refs[0]->EffectiveName(), *schemas[0], *r.tuples[i])));
+    if (with_r.outcome == sql::FoldOutcome::kFalse ||
+        with_r.outcome == sql::FoldOutcome::kNull) {
+      continue;  // No s can complete r.
+    }
+    for (auto j = first; j != s_rows.end(); ++j) {
+      ++result.pairs;
+      if (with_r.outcome == sql::FoldOutcome::kTrue) {
+        result.affected = true;
+        return result;
+      }
+      FoldResult with_s = sql::FoldConstants(*sql::SubstituteColumns(
+          *with_r.residual, TupleSubstituter(refs[1]->EffectiveName(),
+                                             *schemas[1], *s.tuples[*j])));
+      if (with_s.outcome == sql::FoldOutcome::kTrue ||
+          with_s.outcome == sql::FoldOutcome::kResidual) {
+        result.affected = true;
+        return result;
+      }
+    }
+  }
   return result;
 }
 

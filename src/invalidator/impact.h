@@ -1,6 +1,8 @@
 #ifndef CACHEPORTAL_INVALIDATOR_IMPACT_H_
 #define CACHEPORTAL_INVALIDATOR_IMPACT_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +13,15 @@
 #include "sql/ast.h"
 
 namespace cacheportal::invalidator {
+
+/// One merged view of a table's delta tuples, built once per cycle and
+/// shared (borrowed) by every instance analysis: inserts first, then
+/// deletes, so `tuples[i]` is a deletion exactly when i >= `inserts`.
+struct TableTuples {
+  std::string table;  // Lower-cased (DeltaSet::Tables() key).
+  std::vector<const db::Row*> tuples;
+  size_t inserts = 0;
+};
 
 /// Verdict of analyzing one update tuple against one query instance.
 enum class ImpactKind {
@@ -79,7 +90,32 @@ class ImpactAnalyzer {
       const sql::SelectStatement& query, const std::string& table,
       const std::vector<const db::Row*>& tuples) const;
 
+  /// Verdict and work of one AnalyzeDeltaJoin call.
+  struct DeltaJoinResult {
+    bool affected = false;
+    uint64_t pairs = 0;  // (r, s) pairs whose residual was folded.
+  };
+
+  /// The in-process term of delta-join decomposition, for a batch that
+  /// changed exactly two distinct FROM tables R and S of `query`, each
+  /// appearing once in FROM. The polls of AnalyzeDelta over each side
+  /// see ΔR⋈S_post and R_post⋈ΔS; a pair whose sides both left the post
+  /// state is in neither, so this decides ΔR⋈ΔS⁻ ∪ ΔR⁻⋈ΔS: every pair
+  /// of `r.tuples[i]`, i in `r_rows`, and `s.tuples[j]`, j in `s_rows`
+  /// (both ascending), with at least one side deleted. The WHERE is
+  /// qualified once, r substituted once, and the residual folded per s:
+  /// TRUE, or a residual still left (a third relation), decides affected.
+  Result<DeltaJoinResult> AnalyzeDeltaJoin(
+      const sql::SelectStatement& query, const TableTuples& r,
+      const std::vector<uint32_t>& r_rows, const TableTuples& s,
+      const std::vector<uint32_t>& s_rows) const;
+
  private:
+  /// `where` with every unqualified column qualified by the FROM entry
+  /// whose schema owns it (ambiguous or unknown columns stay as they are).
+  sql::ExpressionPtr Qualify(const sql::SelectStatement& query,
+                             const sql::Expression& where) const;
+
   const db::Database* database_;
 };
 

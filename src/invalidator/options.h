@@ -94,6 +94,9 @@ struct MatcherStats {
   uint64_t fast_path_instances = 0;  // Instances skipped before the
                                      // analysis fan-out (no candidate
                                      // rows anywhere in the cycle).
+  uint64_t delta_join_pairs = 0;  // (r, s) delta pairs folded in process
+                                 // when a batch changed two FROM tables.
+  uint64_t delta_join_hits = 0;   // ... that decided an instance affected.
   /// Per-reason tally of templates the compiler declined to anchor
   /// (TypeMatcher::fallback_reason()), aggregated at compile time so
   /// tier demotions are observable without a debugger.

@@ -1,7 +1,9 @@
 #include "invalidator/stages.h"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -158,6 +160,7 @@ Status IngestStage::Run(CycleContext& ctx) {
     TableTuples view;
     view.table = table;
     view.tuples = delta.MergedRows();
+    view.inserts = delta.inserts.size();
     if (!view.tuples.empty()) ctx.merged.push_back(std::move(view));
   }
 
@@ -241,22 +244,36 @@ Status ImpactStage::Run(CycleContext& ctx) {
     uint64_t type_id = 0;
     const QueryType* type = nullptr;
     size_t live = 0;
-    /// The multi-table soundness guard applies (see the fan-out below):
-    /// the batch updated two or more of the template's FROM relations.
-    /// Identical for every instance (templates parameterize only WHERE
-    /// literals). Such a type never reads a probe: it is ineligible for
-    /// the partition, and its fan-out stops at the guard.
+    /// The batch changed exactly two distinct FROM tables: their merged
+    /// views, for the fan-out's in-process delta-join term.
+    std::optional<std::pair<size_t, size_t>> delta_join;
+    /// The multi-table guard applies: the batch changed three or more
+    /// FROM entries, or one table that FROM lists twice. Identical for
+    /// every instance (templates parameterize only WHERE literals). Such
+    /// a type never reads a probe: it is ineligible for the partition,
+    /// and every instance is ejected unpolled.
     bool guarded = false;
   };
   std::vector<TypeBlock> blocks;  // Ascending type_id — the scan order.
   plane.ForEachType([&](const QueryType& type) {
-    int delta_tables = 0;
-    if (type.tmpl.statement != nullptr) {
-      for (const sql::TableRef& ref : type.tmpl.statement->from) {
-        if (!ctx.deltas.ForTable(ref.table).empty()) ++delta_tables;
+    TypeBlock& block = blocks.emplace_back();
+    block.type_id = type.type_id;
+    block.type = &type;
+    if (type.tmpl.statement == nullptr) return;
+    std::vector<size_t> changed;  // Merged view of each changed FROM entry.
+    for (const sql::TableRef& ref : type.tmpl.statement->from) {
+      for (size_t t = 0; t < ctx.merged.size(); ++t) {
+        if (EqualsIgnoreCase(ref.table, ctx.merged[t].table)) {
+          changed.push_back(t);
+        }
       }
     }
-    blocks.push_back({type.type_id, &type, 0, delta_tables >= 2});
+    if (changed.size() > 2 ||
+        (changed.size() == 2 && changed[0] == changed[1])) {
+      block.guarded = true;
+    } else if (changed.size() == 2) {
+      block.delta_join.emplace(changed[0], changed[1]);
+    }
   });
   for (TypeBlock& block : blocks) {
     plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
@@ -291,18 +308,21 @@ Status ImpactStage::Run(CycleContext& ctx) {
 
   // ---- Partition: build the work list per type, skipping the fan-out —
   // and the per-instance state entirely — for instances the probes
-  // proved unaffected. A type is eligible when no multi-table guard
-  // applies and every merged view either (a) has a probe whose all_rows
-  // list is empty — then an instance absent from per_id short-circuits
-  // that table with zero AST work — or (b) is a table outside the type's
-  // FROM list, which AnalyzeDelta dismisses without reading a tuple. An
-  // eligible type materializes only the candidates in some covering
-  // per_id, in SQL-text order (polling order downstream depends on it);
-  // the rest fold into one aggregate record per type, merged below. An
-  // ineligible type materializes everyone, in the same order.
+  // proved unaffected. A type is eligible when the multi-table guard
+  // does not apply and every merged view either (a) has a probe whose
+  // all_rows list is empty — then an instance absent from per_id
+  // short-circuits that table with zero AST work — or (b) is a table
+  // outside the type's FROM list, which AnalyzeDelta dismisses without
+  // reading a tuple. An eligible type materializes only the candidates
+  // in some covering per_id, in SQL-text order (polling order downstream
+  // depends on it); the rest fold into one aggregate record per type,
+  // merged below. An ineligible type materializes everyone, in the same
+  // order.
   // Exact-tier types partition the same way: a non-candidate's WHERE is
   // definitely FALSE for every old and new row image in the batch, so
-  // no membership can flip and no content can change.
+  // no membership can flip and no content can change. So do delta-join
+  // types: a non-candidate has no candidate row on either side, hence no
+  // poll and no pair.
   //
   // The work list's QueryInstance pointers stay valid without holding
   // shard locks: instances are node-mapped and only the cycle thread
@@ -361,6 +381,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
               analysis.instance = &instance;
               analysis.exact = exact;
               analysis.multi_table_guard = block.guarded && !exact;
+              analysis.delta_join = block.delta_join;
               work.push_back(std::move(analysis));
             });
       });
@@ -401,6 +422,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
         analysis.instance_id = instance->instance_id;
         analysis.instance = instance;
         analysis.exact = exact;
+        analysis.delta_join = block.delta_join;
         work.push_back(std::move(analysis));
       }
     }
@@ -460,13 +482,26 @@ Status ImpactStage::Run(CycleContext& ctx) {
     Micros check_start = env_.clock->NowMicros();
     bool affected = false;
     std::vector<std::unique_ptr<sql::SelectStatement>> polls;
+    std::vector<uint32_t> rows;
     std::vector<const db::Row*> subset;
-    for (const TableTuples& view : merged) {
+    // Each delta-join side's candidate rows, kept for the pair term.
+    std::vector<uint32_t> join_rows[2];
+    for (size_t t = 0; t < merged.size(); ++t) {
+      const TableTuples& view = merged[t];
       a.checked = true;
+      std::vector<uint32_t>* join_side = nullptr;
+      if (a.delta_join.has_value()) {
+        if (t == a.delta_join->first) join_side = &join_rows[0];
+        if (t == a.delta_join->second) join_side = &join_rows[1];
+      }
       const std::vector<const db::Row*>* tuples = &view.tuples;
-      auto probe_it = probes.find(
-          std::make_pair(a.type_id, static_cast<size_t>(&view - &merged[0])));
-      if (probe_it != probes.end()) {
+      auto probe_it = probes.find(std::make_pair(a.type_id, t));
+      if (probe_it == probes.end()) {
+        if (join_side != nullptr) {
+          join_side->resize(view.tuples.size());
+          std::iota(join_side->begin(), join_side->end(), 0u);
+        }
+      } else {
         // Sorted-merge the tuples every instance must see with this
         // instance's candidates: delta order is preserved, so verdicts
         // and polling SQL match an unpruned analysis byte for byte.
@@ -475,20 +510,14 @@ Status ImpactStage::Run(CycleContext& ctx) {
         static const std::vector<uint32_t> kNone;
         const std::vector<uint32_t>& own =
             own_it == probe.per_id.end() ? kNone : own_it->second;
+        std::vector<uint32_t>& kept = join_side != nullptr ? *join_side : rows;
+        kept.clear();
+        kept.reserve(probe.all_rows.size() + own.size());
+        std::merge(probe.all_rows.begin(), probe.all_rows.end(), own.begin(),
+                   own.end(), std::back_inserter(kept));
         subset.clear();
-        subset.reserve(probe.all_rows.size() + own.size());
-        size_t x = 0;
-        size_t y = 0;
-        while (x < probe.all_rows.size() || y < own.size()) {
-          uint32_t next;
-          if (y >= own.size() ||
-              (x < probe.all_rows.size() && probe.all_rows[x] < own[y])) {
-            next = probe.all_rows[x++];
-          } else {
-            next = own[y++];
-          }
-          subset.push_back(view.tuples[next]);
-        }
+        subset.reserve(kept.size());
+        for (uint32_t row : kept) subset.push_back(view.tuples[row]);
         a.matcher_excluded += view.tuples.size() - subset.size();
         if (subset.empty()) {
           // Every tuple's probe excluded this instance: provably
@@ -531,6 +560,21 @@ Status ImpactStage::Run(CycleContext& ctx) {
         }
         if (affected) break;
       }
+    }
+    if (!affected && a.delta_join.has_value()) {
+      // The pairs neither side's poll can see: both sides' tuples left
+      // the post state (DESIGN.md §10).
+      Result<ImpactAnalyzer::DeltaJoinResult> pairs =
+          analyzer.AnalyzeDeltaJoin(
+              *instance.statement, merged[a.delta_join->first], join_rows[0],
+              merged[a.delta_join->second], join_rows[1]);
+      if (!pairs.ok()) {
+        a.status = pairs.status();
+        return;
+      }
+      a.delta_join_pairs = pairs->pairs;
+      a.delta_join_hit = pairs->affected;
+      affected = pairs->affected;
     }
     a.check_time = env_.clock->NowMicros() - check_start;
     if (!a.checked) return;
@@ -593,6 +637,8 @@ Status ImpactStage::Run(CycleContext& ctx) {
         env_.cycle_matcher_stats->tuples_excluded += a.matcher_excluded;
         env_.cycle_matcher_stats->instances_short_circuited +=
             a.matcher_short_circuits;
+        env_.cycle_matcher_stats->delta_join_pairs += a.delta_join_pairs;
+        env_.cycle_matcher_stats->delta_join_hits += a.delta_join_hit;
         ++ctx.report.checks;
         ++env_.stats->instance_checks;
         if (mutable_type != nullptr) {

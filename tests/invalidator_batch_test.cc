@@ -444,6 +444,8 @@ std::string ReportKey(const CycleReport& r) {
 struct MatrixResult {
   std::vector<std::set<std::string>> cycle_invalidated;
   std::vector<std::string> cycle_reports;
+  std::vector<std::set<int>> changed;  // Per round: pages whose query
+                                       // result the round's updates changed.
   std::string stats_report;
 };
 
@@ -521,6 +523,7 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers) {
     // Let the baseline snapshot the (re-)cached instances BEFORE the
     // updates, so its diff covers exactly this round's changes.
     baseline.RunCycle().value();
+    const std::vector<std::string> before = ResultTexts(db, sqls);
     for (int u = 0; u < 1 + static_cast<int>(rng.Uniform(3)); ++u) {
       switch (rng.Uniform(4)) {
         case 0:
@@ -557,6 +560,7 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers) {
     }
     result.cycle_invalidated.push_back(sink.invalidated);
     result.cycle_reports.push_back(ReportKey(report));
+    result.changed.push_back(ChangedPages(before, ResultTexts(db, sqls)));
     recache();
     inv.RunCycle().value();  // Consume the re-cached pages.
   }
@@ -565,35 +569,37 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers) {
 }
 
 // The per-tuple probe path's outputs, seeds 1-11, at shards=1,
-// workers=1: per-round ejects and ReportKey()s.
+// workers=1: per-round ejects and ReportKey()s. Re-recorded when
+// delta-join decomposition replaced the multi-table guard; the ejects
+// that dropped out are kept below.
 const PinnedRun kScalarRuns[] = {
     {1,
      {{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 22},
       {16, 17, 18, 19, 20, 21, 22},
       {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 19, 20, 21, 22},
       {}, {}, {0, 3, 4, 7, 8, 9, 10, 12, 13, 14, 15, 22}},
-     {"3/0/23/19/0/0/0/19/normal", "1/0/23/7/3/0/1/7/normal",
+     {"3/0/23/19/0/4/0/19/normal", "1/0/23/7/3/0/1/7/normal",
       "13/0/23/20/0/4/0/20/normal", "0/0/0/0/0/0/0/0/normal",
       "0/0/0/0/0/0/0/0/normal", "2/0/23/12/0/1/0/12/normal"},
-     0x42aad62c3a5a1497},
+     0x31bb4f4a5dc1e7f7},
     {2,
      {{0, 2, 3, 4, 5, 6, 7, 12, 13, 22, 23}, {}, {16, 23},
       {2, 4, 7, 8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22, 23},
       {3, 6, 7, 8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22, 23},
       {0, 1, 4, 5, 6, 7, 12, 13, 14, 22, 23}},
      {"7/0/24/11/0/2/0/11/normal", "0/0/0/0/0/0/0/0/normal",
-      "1/0/24/2/3/0/1/2/normal", "3/0/24/15/0/0/0/15/normal",
-      "2/0/24/15/0/0/0/15/normal", "3/0/24/11/0/2/0/11/normal"},
-     0xb009e3c9f73f2dff},
+      "1/0/24/2/3/0/1/2/normal", "3/0/24/15/3/4/1/15/normal",
+      "2/0/24/15/3/4/1/15/normal", "3/0/24/11/0/2/0/11/normal"},
+     0x71a63c3d54bffca0},
     {3,
      {{1, 8, 9, 10, 11, 12, 20, 21, 22, 23}, {16, 17, 18, 19, 20, 21, 22, 23},
       {1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 15, 21, 22, 23},
       {0, 4, 6, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 20, 21, 22, 23},
       {0, 1, 3, 4, 5, 6, 10, 12}, {1, 4, 6, 7, 10, 12, 15, 20, 21, 22, 23}},
      {"1/0/24/10/0/4/0/10/normal", "2/0/24/8/3/0/1/8/normal",
-      "2/0/24/16/0/4/0/16/normal", "3/0/24/18/0/0/0/18/normal",
-      "4/0/24/8/0/0/0/8/normal", "3/0/24/11/0/0/0/11/normal"},
-     0x24595b4663120adf},
+      "2/0/24/16/0/4/0/16/normal", "3/0/24/18/0/4/0/18/normal",
+      "4/0/24/8/0/0/0/8/normal", "3/0/24/11/3/0/1/11/normal"},
+     0x04290bcee6be674f},
     {4,
      {{16, 17, 18, 19, 20, 21, 22, 23},
       {0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 20, 21, 23},
@@ -616,10 +622,10 @@ const PinnedRun kScalarRuns[] = {
       {0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 14, 15}, {}, {},
       {1, 5, 6, 7, 8, 9, 10, 11, 16, 17, 18, 19, 20, 21, 22},
       {3, 4, 7, 9, 10, 12, 13, 14, 15}},
-     {"2/0/23/14/0/0/0/14/normal", "8/0/23/13/0/0/0/13/normal",
+     {"2/0/23/14/0/4/0/14/normal", "8/0/23/13/0/0/0/13/normal",
       "0/0/0/0/0/0/0/0/normal", "0/0/0/0/0/0/0/0/normal",
-      "5/0/23/15/0/0/0/15/normal", "2/0/23/9/0/2/0/9/normal"},
-     0x7aed0f9fbef917be},
+      "5/0/23/15/0/4/0/15/normal", "2/0/23/9/0/2/0/9/normal"},
+     0x55811dfccf64c184},
     {7,
      {{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 20, 21, 22, 23},
       {1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 20, 21, 22, 23},
@@ -628,47 +634,54 @@ const PinnedRun kScalarRuns[] = {
       {2, 4, 8, 9, 10, 11, 12, 20, 21, 22, 23},
       {16, 17, 18, 19, 20, 21, 22, 23}},
      {"2/0/24/18/0/4/0/18/normal", "2/0/24/18/0/4/0/18/normal",
-      "10/0/24/18/0/4/0/18/normal", "2/0/24/10/0/0/0/10/normal",
+      "10/0/24/18/0/4/0/18/normal", "2/0/24/10/3/0/1/10/normal",
       "1/0/24/11/0/4/0/11/normal", "2/0/24/8/3/0/1/8/normal"},
-     0x883de7cc071f18d8},
+     0x3177714ee715b364},
     {8,
      {{2, 4, 10, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23},
       {3, 7, 8, 9, 10, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23},
-      {3, 4, 5, 6, 7, 13, 15, 16, 17, 18, 20, 21, 22, 23}, {16, 17, 18, 22, 23},
-      {}, {3, 5, 6, 7, 10, 12, 13, 15}},
-     {"2/0/24/13/0/0/0/13/normal", "3/0/24/17/0/0/0/17/normal",
-      "3/0/24/14/0/0/0/14/normal", "1/0/24/5/3/0/1/5/normal",
+      {3, 4, 5, 6, 7, 13, 15, 16, 17, 18, 22, 23}, {16, 17, 18, 22, 23}, {},
+      {3, 5, 6, 7, 10, 12, 13, 15}},
+     {"2/0/24/13/3/0/1/13/normal", "3/0/24/17/2/0/0/17/normal",
+      "3/0/24/12/3/0/1/12/normal", "1/0/24/5/3/0/1/5/normal",
       "0/0/0/0/0/0/0/0/normal", "2/0/24/8/0/0/0/8/normal"},
-     0x722f452566665d10},
+     0x734e1e9ba29571bd},
     {9,
-     {{16, 20, 21, 22, 23}, {0, 1, 2, 4, 5, 6, 7, 15, 16, 20, 21, 22, 23},
+     {{16, 20, 21, 22, 23}, {0, 1, 2, 4, 5, 6, 7, 15, 16, 20, 21, 23},
       {0, 1, 2, 4, 5, 6, 7, 8, 10, 11, 12, 13, 15, 20, 21, 23}, {},
       {16, 17, 18, 19, 20, 21, 22, 23}, {16, 17, 18, 19, 20, 21, 22, 23}},
-     {"1/0/24/5/3/0/1/5/normal", "6/0/24/13/0/0/0/13/normal",
+     {"1/0/24/5/3/0/1/5/normal", "6/0/24/12/3/0/1/12/normal",
       "3/0/24/16/0/3/0/16/normal", "0/0/0/0/0/0/0/0/normal",
       "1/0/24/8/3/0/1/8/normal", "1/0/24/8/3/0/1/8/normal"},
-     0x62f8c70484d546ad},
+     0xd45110c40caf9ea8},
     {10,
      {{1, 3, 4, 5, 9, 10}, {}, {5, 9, 10},
       {2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21},
       {14, 15, 16, 17, 18, 19, 20, 21}, {14, 15, 16, 17, 18, 19, 20, 21}},
      {"1/0/22/6/0/0/0/6/normal", "0/0/0/0/0/0/0/0/normal",
-      "1/0/22/3/0/0/0/3/normal", "2/0/22/20/0/0/0/20/normal",
+      "1/0/22/3/0/0/0/3/normal", "2/0/22/20/0/4/0/20/normal",
       "1/0/22/8/3/0/1/8/normal", "4/0/22/8/3/0/1/8/normal"},
-     0x43bc5a3d69f4d4e4},
+     0x0a43fc84d8e13014},
     {11,
      {{0, 1, 2, 3, 5, 6, 8, 11, 12, 20, 21, 22},
       {3, 7, 8, 10, 11, 12, 13, 15, 16, 17, 18, 19, 20, 21, 22},
       {15, 16, 17, 18, 19, 20, 21, 22}, {15, 16, 17, 18, 19, 20, 21, 22},
       {15, 16, 17, 18, 19, 20, 21, 22}, {3, 8, 11, 12, 13, 14, 19, 20, 21, 22}},
-     {"6/0/23/12/0/3/0/12/normal", "2/0/23/15/0/0/0/15/normal",
+     {"6/0/23/12/0/3/0/12/normal", "2/0/23/15/0/4/0/15/normal",
       "4/0/23/8/3/0/1/8/normal", "1/0/23/8/3/0/1/8/normal",
       "4/0/23/8/3/0/1/8/normal", "1/0/23/10/0/4/0/10/normal"},
-     0xfc994df8f78c31a1},
+     0xb80d455052ec081d},
+};
+
+// Ejects the literal above held before delta-join decomposition replaced
+// the multi-table guard: two-table batches no longer eject these pages.
+// Each was false, which the test proves by re-execution.
+const std::vector<DroppedEjects> kGuardOnlyEjects = {
+    {8, 2, {20, 21}}, {9, 1, {22}},
 };
 
 // Seed 1's full final StatsReport(), so a report mismatch is readable.
-constexpr char kSeed1Report[] = R"(invalidator: cycles=13 updates=19 checks=92 affected=49 unaffected=34 polls=3 idx-answered=5 poll-hits=3 conservative=1 emergency-flushes=0 pages-invalidated=58 messages-sent=58 send-failures=0
+constexpr char kSeed1Report[] = R"(invalidator: cycles=13 updates=19 checks=92 affected=45 unaffected=34 polls=3 idx-answered=9 poll-hits=3 conservative=1 emergency-flushes=0 pages-invalidated=58 messages-sent=58 send-failures=0
   strategy: exact=5 compiled-batch=1 interpret=0 poll=0
   strategy-demotions: 'multi-table FROM'=1
   type 'discovered-5': instances=8 checks=12 affected=5 polls=0 inval-ratio=0.416667 avg-time-us=0 max-time-us=0 tier=exact
@@ -694,6 +707,7 @@ TEST_P(BatchDifferentialTest, ReproducesPinnedRunsAcrossTheMatrix) {
       MatrixResult got = RunBatchScenario(GetParam(), shards, workers);
       ExpectReproduces(pinned, got.cycle_invalidated, got.cycle_reports,
                        got.stats_report);
+      ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects, got.changed);
       if (GetParam() == 1) {
         EXPECT_EQ(got.stats_report, kSeed1Report);
       }

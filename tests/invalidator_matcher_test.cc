@@ -50,6 +50,8 @@ class RecordingSink : public InvalidationSink {
 struct WorldResult {
   std::vector<std::set<std::string>> ejected;   // Per cycle.
   std::vector<std::string> summaries;           // Per-cycle report fields.
+  std::vector<std::set<int>> changed;  // Per cycle: pages whose query
+                                       // result the cycle's updates changed.
   std::string final_report;
   MatcherStats matcher;
 };
@@ -143,6 +145,7 @@ WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards,
     for (size_t i = 0; i < sqls.size(); ++i) {
       map.Add(sqls[i], StrCat("shop/p", i, "?##"), "/r", 0);
     }
+    const std::vector<std::string> before = ResultTexts(db, sqls);
     int burst = 1 + static_cast<int>(rng.Uniform(4));
     for (int u = 0; u < burst; ++u) {
       switch (rng.Uniform(4)) {
@@ -172,6 +175,7 @@ WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards,
     auto report = inv.RunCycle();
     EXPECT_TRUE(report.ok());
     result.ejected.push_back(sink.invalidated);
+    result.changed.push_back(ChangedPages(before, ResultTexts(db, sqls)));
     result.summaries.push_back(
         StrCat(report->updates, "|", report->new_instances, "|",
                report->checks, "|", report->affected_instances, "|",
@@ -184,23 +188,25 @@ WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards,
 }
 
 // The interpreted walk's outputs, seeds 1-10: workers=1, consolidation
-// off. Summaries are the per-cycle fields RunWorld records.
+// off. Summaries are the per-cycle fields RunWorld records. Re-recorded
+// when delta-join decomposition replaced the multi-table guard; the
+// ejects that dropped out are kept below.
 const PinnedRun kInterpretedWorlds[] = {
     {1,
-     {{1, 2, 13}, {}, {0, 1, 2, 7, 9, 10, 12, 13}, {1}, {1, 2, 9}, {}},
-     {"3|14|12|3|2|0|3", "0|3|0|0|0|0|0", "4|0|12|6|0|0|8", "1|8|12|1|2|0|1",
+     {{1, 2, 13}, {}, {0, 1, 2, 7, 9, 10, 13}, {1}, {1, 2, 9}, {}},
+     {"3|14|12|3|2|0|3", "0|3|0|0|0|0|0", "4|0|12|5|3|0|7", "1|7|12|1|2|0|1",
       "1|1|12|3|2|0|3", "0|3|0|0|0|0|0"},
-     0xe74977c29e80d618},
+     0x8d3d2e1023cdcc87},
     {2,
-     {{0, 9, 12}, {12}, {}, {0, 4, 9, 12}, {12}, {4, 7, 9}},
-     {"2|14|14|3|0|0|3", "1|3|14|1|0|0|1", "0|1|0|0|0|0|0", "3|0|14|4|0|0|4",
-      "1|4|14|1|0|0|1", "4|1|14|3|1|0|3"},
-     0x69fff8aa919ff69e},
+     {{9, 12}, {12}, {}, {4, 9, 12}, {12}, {4, 7, 9}},
+     {"2|14|14|2|1|0|2", "1|2|14|1|0|0|1", "0|1|0|0|0|0|0", "3|0|14|3|1|0|3",
+      "1|3|14|1|0|0|1", "4|1|14|3|1|0|3"},
+     0xe5fab944c2a5a416},
     {3,
-     {{2, 3, 4, 9}, {1, 2, 3, 5, 7, 9}, {2, 3, 5, 7, 9}, {}, {2, 7, 13}, {}},
-     {"1|14|13|3|1|0|4", "6|4|13|5|0|0|6", "4|6|13|4|0|0|5", "1|5|13|0|0|0|0",
+     {{2, 3, 4, 9}, {1, 2, 3, 7, 9}, {2, 3, 7, 9}, {}, {2, 7, 13}, {}},
+     {"1|14|13|3|1|0|4", "6|4|13|4|1|0|5", "4|5|13|3|1|0|4", "1|4|13|0|0|0|0",
       "2|0|13|3|1|0|3", "0|3|0|0|0|0|0"},
-     0xb6d28786d25d6c40},
+     0x265c08b838f5acec},
     {4,
      {{1}, {1, 8, 10, 11}, {0, 2, 5, 6, 10}, {0, 1, 2, 4, 9, 10, 13},
       {1, 2, 4, 10, 12, 13}, {1, 10}},
@@ -208,34 +214,34 @@ const PinnedRun kInterpretedWorlds[] = {
       "4|7|13|5|0|0|6", "3|6|13|2|0|0|2"},
      0xb6f5842e1df7d225},
     {5,
-     {{0, 1, 4, 5, 6, 9, 13}, {0, 1, 4, 5, 6, 13}, {0, 1, 4, 5, 6, 9, 13},
+     {{0, 1, 4, 5, 6, 9, 13}, {0, 1, 4, 5, 6, 13}, {0, 1, 5, 6, 9, 13},
       {1, 4, 5, 13}, {0, 1, 4, 5, 6, 13}, {1, 4, 5, 13}},
-     {"3|14|13|6|0|0|7", "6|7|13|5|0|0|6", "3|6|13|6|0|0|7", "2|7|13|3|0|0|4",
-      "3|4|13|5|0|0|6", "2|6|13|3|0|0|4"},
-     0x6e4e6f2551dfd8d1},
+     {"3|14|13|6|2|0|7", "6|7|13|5|2|0|6", "3|6|13|5|3|0|6", "2|6|13|3|2|0|4",
+      "3|4|13|5|2|0|6", "2|6|13|3|2|0|4"},
+     0xfde3d743e0377ab6},
     {6,
      {{0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, {10, 12}, {},
-      {1, 5, 6, 8, 9, 11, 13}, {1, 8, 9, 10, 11, 12},
+      {1, 5, 6, 8, 9, 11, 13}, {1, 8, 9, 10, 11},
       {1, 5, 6, 8, 9, 10, 11, 12, 13}},
      {"7|14|12|11|0|0|13", "1|13|12|2|1|0|2", "0|2|0|0|0|0|0", "1|0|12|5|1|0|7",
-      "2|7|12|6|0|0|6", "2|6|12|7|0|0|9"},
-     0xe9064f2a5a073040},
+      "2|7|12|5|1|0|5", "2|5|12|7|1|0|9"},
+     0xf346c6a3b3384204},
     {7,
      {{0, 11, 13}, {0}, {}, {}, {}, {}},
-     {"8|14|12|2|0|0|3", "1|3|12|1|1|0|1", "2|1|12|0|1|0|0", "1|0|12|0|1|0|0",
+     {"8|14|12|2|1|0|3", "1|3|12|1|1|0|1", "2|1|12|0|1|0|0", "1|0|12|0|1|0|0",
       "0|0|0|0|0|0|0", "0|0|0|0|0|0|0"},
-     0x405667eaf11ec7b1},
+     0x15d40f06508db721},
     {8,
-     {{7, 12}, {}, {}, {3, 5, 8, 9, 13}, {3, 4, 5, 6, 7, 8, 9, 12, 13}, {}},
+     {{7, 12}, {}, {}, {3, 5, 8, 9, 13}, {3, 5, 6, 7, 8, 9, 12, 13}, {}},
      {"1|14|13|2|1|0|2", "0|2|0|0|0|0|0", "1|0|13|0|0|0|0", "1|0|13|4|1|0|5",
-      "9|5|13|8|0|0|9", "1|9|13|0|0|0|0"},
-     0xea3e81418309a2cc},
+      "9|5|13|7|1|0|8", "1|8|13|0|0|0|0"},
+     0x2c908997d5fbd3b3},
     {9,
-     {{0, 2, 3, 7, 9, 10, 11, 12}, {}, {}, {0, 2, 3, 4, 7, 9, 10}, {},
+     {{0, 2, 3, 7, 10, 11, 12}, {}, {}, {0, 2, 3, 4, 7, 10}, {},
       {2, 3, 5, 6, 10}},
-     {"8|14|13|7|0|0|8", "0|8|0|0|0|0|0", "3|0|13|0|1|0|0", "4|0|13|6|0|0|7",
-      "2|7|13|0|0|0|0", "1|0|13|4|1|0|5"},
-     0xd064a095f8725966},
+     {"8|14|13|6|2|0|7", "0|7|0|0|0|0|0", "3|0|13|0|1|0|0", "4|0|13|5|1|0|6",
+      "2|6|13|0|0|0|0", "1|0|13|4|1|0|5"},
+     0xc462f47848a88a4a},
     {10,
      {{}, {1, 2, 9, 13}, {2, 3, 9}, {1, 2, 3, 4, 6, 7, 8, 9, 13}, {1, 13},
       {1, 13}},
@@ -244,8 +250,16 @@ const PinnedRun kInterpretedWorlds[] = {
      0xb330249ced2d7a3b},
 };
 
+// Ejects the literal above held before delta-join decomposition replaced
+// the multi-table guard: two-table batches no longer eject these pages.
+// Each was false, which the test proves by re-execution.
+const std::vector<DroppedEjects> kGuardOnlyEjects = {
+    {1, 2, {12}}, {2, 0, {0}}, {2, 3, {0}}, {3, 1, {5}}, {3, 2, {5}},
+    {5, 2, {4}}, {6, 4, {12}}, {8, 4, {4}}, {9, 0, {9}}, {9, 3, {9}},
+};
+
 // Seed 1's full final StatsReport(), so a report mismatch is readable.
-constexpr char kSeed1Report[] = R"(invalidator: cycles=6 updates=9 checks=48 affected=12 unaffected=30 polls=6 idx-answered=0 poll-hits=1 conservative=0 emergency-flushes=0 pages-invalidated=15 messages-sent=15 send-failures=0
+constexpr char kSeed1Report[] = R"(invalidator: cycles=6 updates=9 checks=48 affected=10 unaffected=30 polls=9 idx-answered=0 poll-hits=2 conservative=0 emergency-flushes=0 pages-invalidated=14 messages-sent=14 send-failures=0
   strategy: exact=8 compiled-batch=1 interpret=0 poll=0
   strategy-demotions: 'multi-table FROM'=1
   type 'discovered-2': instances=5 checks=4 affected=4 polls=0 inval-ratio=1 avg-time-us=0 max-time-us=0 tier=exact
@@ -256,7 +270,7 @@ constexpr char kSeed1Report[] = R"(invalidator: cycles=6 updates=9 checks=48 aff
   type 'discovered-9': instances=3 checks=4 affected=2 polls=0 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=exact
   type 'discovered-7': instances=2 checks=8 affected=0 polls=0 inval-ratio=0 avg-time-us=0 max-time-us=0 tier=exact
   type 'discovered-6': instances=1 checks=4 affected=0 polls=0 inval-ratio=0 avg-time-us=0 max-time-us=0 tier=exact
-  type 'discovered-8': instances=5 checks=8 affected=2 polls=6 inval-ratio=0.25 avg-time-us=0 max-time-us=0 tier=compiled-batch
+  type 'discovered-8': instances=4 checks=8 affected=0 polls=9 inval-ratio=0 avg-time-us=0 max-time-us=0 tier=compiled-batch
 )";
 
 class MatcherDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -274,6 +288,8 @@ TEST_P(MatcherDifferentialTest, CompiledReproducesInterpretedAtAnyWorkerCount) {
                                       /*consolidate=*/false);
       ExpectReproduces(pinned, compiled.ejected, compiled.summaries,
                        compiled.final_report);
+      ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects,
+                                   compiled.changed);
       if (seed == 1) {
         EXPECT_EQ(compiled.final_report, kSeed1Report);
       }
@@ -765,35 +781,72 @@ TEST_F(JoinClosureTest, OwnEqualityAnchorBeatsDerived) {
   EXPECT_EQ(range.AnchorFor("b")->column, "x");
 }
 
-// A type whose FROM tables the batch updated two of is ejected by the
-// multi-table guard without reading a probe, so it is not probed at all.
-TEST_F(JoinClosureTest, GuardedTypeIsNotProbed) {
+/// Runs one cycle over `updates` and returns its batch probes; the
+/// cycle's ejects land in `sink`.
+uint64_t ProbesOfCycle(db::Database& db, Invalidator& inv, RecordingSink& sink,
+                       const std::vector<std::string>& updates) {
+  const uint64_t before = inv.matcher_stats().batch_probes;
+  for (const std::string& sql : updates) db.ExecuteSql(sql).value();
+  sink.invalidated.clear();
+  EXPECT_TRUE(inv.RunCycle().ok());
+  return inv.matcher_stats().batch_probes - before;
+}
+
+// A batch that changes both tables of the heavy shape is decomposed, not
+// guarded: each table's anchor is probed, and a batch confined to group 5
+// leaves the group-1 page cached with no poll and no pair.
+TEST_F(JoinClosureTest, TwoTableBatchProbesBothAnchors) {
   sniffer::QiUrlMap map;
   RecordingSink sink;
   Invalidator inv(&db_, &map, &clock_, {});
   inv.AddSink(&sink);
-  map.Add("SELECT SmallT.id FROM SmallT, LargeT WHERE SmallT.grp = "
-          "LargeT.grp AND SmallT.grp = 1",
-          "shop/heavy?##", "/r", 0);
+  const std::string heavy =
+      "SELECT SmallT.id FROM SmallT, LargeT WHERE SmallT.grp = LargeT.grp "
+      "AND SmallT.grp = 1";
+  map.Add(heavy, "shop/heavy?##", "/r", 0);
   ASSERT_TRUE(inv.RunCycle().ok());  // Registers the instance.
-  auto probes_of_cycle = [&](const std::vector<std::string>& inserts) {
-    const uint64_t before = inv.matcher_stats().batch_probes;
-    for (const std::string& sql : inserts) db_.ExecuteSql(sql).value();
-    sink.invalidated.clear();
-    EXPECT_TRUE(inv.RunCycle().ok());
-    return inv.matcher_stats().batch_probes - before;
-  };
-  EXPECT_EQ(probes_of_cycle({"INSERT INTO SmallT VALUES (1, 5, 0)",
-                             "INSERT INTO LargeT VALUES (2, 5, 0)"}),
-            0u);
-  EXPECT_EQ(sink.invalidated, std::set<std::string>{"shop/heavy?##"});
-  map.Add("SELECT SmallT.id FROM SmallT, LargeT WHERE SmallT.grp = "
-          "LargeT.grp AND SmallT.grp = 1",
-          "shop/heavy?##", "/r", 0);
-  // A LargeT-only batch probes the derived anchor once and, for a tuple
-  // of another group, ejects nothing.
-  EXPECT_EQ(probes_of_cycle({"INSERT INTO LargeT VALUES (3, 5, 0)"}), 1u);
+  EXPECT_EQ(ProbesOfCycle(db_, inv, sink,
+                          {"INSERT INTO SmallT VALUES (1, 5, 0)",
+                           "INSERT INTO LargeT VALUES (2, 5, 0)"}),
+            2u);
   EXPECT_TRUE(sink.invalidated.empty());
+  EXPECT_EQ(inv.stats().polls_issued, 0u);
+  EXPECT_EQ(inv.matcher_stats().delta_join_pairs, 0u);
+  // A LargeT-only batch probes the derived anchor once.
+  EXPECT_EQ(ProbesOfCycle(db_, inv, sink,
+                          {"INSERT INTO LargeT VALUES (3, 5, 0)"}),
+            1u);
+  EXPECT_TRUE(sink.invalidated.empty());
+}
+
+// The guard stays where the decomposition does not reach: three changed
+// FROM entries, and a changed table that FROM lists twice. The type is
+// ejected unpolled, for a batch of another group, without a probe.
+TEST_F(JoinClosureTest, ThreeTableBatchAndSelfJoinKeepTheGuard) {
+  sniffer::QiUrlMap map;
+  RecordingSink sink;
+  Invalidator inv(&db_, &map, &clock_, {});
+  inv.AddSink(&sink);
+  const std::string chain =
+      "SELECT A.y FROM A, B, C WHERE A.x = B.x AND B.x = C.x AND A.x = 4";
+  const std::string self_join =
+      "SELECT A.y FROM A, A a2 WHERE A.y = a2.y AND A.x = 4";
+  map.Add(chain, "shop/chain?##", "/r", 0);
+  ASSERT_TRUE(inv.RunCycle().ok());
+  EXPECT_EQ(ProbesOfCycle(db_, inv, sink,
+                          {"INSERT INTO A VALUES (9, 0, 's')",
+                           "INSERT INTO B VALUES (9, 0, 's', 0.5)",
+                           "INSERT INTO C VALUES (9)"}),
+            0u);
+  EXPECT_EQ(sink.invalidated, std::set<std::string>{"shop/chain?##"});
+
+  map.Add(self_join, "shop/self?##", "/r", 0);
+  ASSERT_TRUE(inv.RunCycle().ok());
+  EXPECT_EQ(ProbesOfCycle(db_, inv, sink, {"INSERT INTO A VALUES (9, 1, 't')"}),
+            0u);
+  EXPECT_EQ(sink.invalidated, std::set<std::string>{"shop/self?##"});
+  EXPECT_EQ(inv.stats().polls_issued, 0u);
+  EXPECT_EQ(inv.matcher_stats().delta_join_pairs, 0u);
 }
 
 // Soundness of every anchor, own or derived, against the evaluator: on

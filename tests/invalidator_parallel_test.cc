@@ -67,9 +67,10 @@ std::string ReportKey(const CycleReport& r) {
 
 /// One deterministic scripted workload that exercises every pipeline
 /// branch: immediate impact, unaffected, index-answered polls, DBMS
-/// polls (hits and misses), the polling-budget condemnation path, the
-/// multi-table soundness guard, the internal polling cache, multi-sink
-/// delivery with failures, and a ReliableDeliveryQueue in the sink list.
+/// polls (hits and misses), the polling-budget condemnation path, a
+/// two-table batch (delta-join decomposition), the internal polling
+/// cache, multi-sink delivery with failures, and a ReliableDeliveryQueue
+/// in the sink list.
 ScenarioResult RunScenario(size_t workers) {
   ManualClock clock;
   db::Database db(&clock);
@@ -156,8 +157,8 @@ ScenarioResult RunScenario(size_t workers) {
       // instance is condemned conservatively; of the polled ones some
       // hit (Eclipse sells under 16000) and some miss.
       {"INSERT INTO Mileage VALUES ('Eclipse', 30)"},
-      // Both join relations updated in one batch: the multi-table
-      // soundness guard invalidates the join instances conservatively.
+      // Both join relations updated in one batch: each side polls the
+      // other, and the in-process pair term covers deleted pairs.
       {"INSERT INTO Car VALUES ('Honda', 'Civic', 7000)",
        "INSERT INTO Mileage VALUES ('Focus', 20)"},
       // Delete on the indexed relation: join polls go to the Car side,

@@ -61,6 +61,8 @@ std::string ReportKey(const CycleReport& r) {
 struct MatrixResult {
   std::vector<std::set<std::string>> cycle_invalidated;  // Per round.
   std::vector<std::string> cycle_reports;                // Per round.
+  std::vector<std::set<int>> changed;  // Per round: pages whose query
+                                       // result the round's updates changed.
   std::string stats_report;
 };
 
@@ -134,6 +136,7 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
 
   MatrixResult result;
   for (int round = 0; round < 6; ++round) {
+    const std::vector<std::string> before = ResultTexts(db, sqls);
     for (int u = 0; u < 1 + static_cast<int>(rng.Uniform(3)); ++u) {
       switch (rng.Uniform(4)) {
         case 0:
@@ -165,6 +168,7 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
     CycleReport report = inv.RunCycle().value();
     result.cycle_invalidated.push_back(sink.invalidated);
     result.cycle_reports.push_back(ReportKey(report));
+    result.changed.push_back(ChangedPages(before, ResultTexts(db, sqls)));
     recache();
     inv.RunCycle().value();  // Consume the re-cached pages.
   }
@@ -173,29 +177,31 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
 }
 
 // The interpreted walk's outputs, seeds 1-11, at shards=1, workers=1:
-// per-round ejects and ReportKey()s.
+// per-round ejects and ReportKey()s. Re-recorded when delta-join
+// decomposition replaced the multi-table guard; the ejects that dropped
+// out are kept below.
 const PinnedRun kInterpretedRuns[] = {
     {1,
-     {{0, 2, 3, 5, 6, 7, 8, 9}, {1, 2, 3, 4, 6, 7, 8, 9}, {}, {2, 7, 9}, {},
+     {{0, 2, 3, 5, 6, 7, 8, 9}, {1, 3, 4, 6, 8, 9}, {}, {2, 7, 9}, {},
       {0, 1, 2, 4, 5, 7, 9}},
-     {"3/0/10/8/0/0/0/8/normal", "12/0/10/8/0/0/0/8/normal",
-      "0/0/0/0/0/0/0/0/normal", "2/0/10/3/0/0/0/3/normal",
+     {"3/0/10/8/0/0/0/8/normal", "12/0/10/6/2/0/0/6/normal",
+      "0/0/0/0/0/0/0/0/normal", "2/0/10/3/2/0/0/3/normal",
       "0/0/0/0/0/0/0/0/normal", "3/0/10/7/0/2/0/7/normal"},
-     0x642e8892de447a01},
+     0x37d3dcbd90787ca4},
     {2,
      {{9}, {0, 4}, {0, 1, 2, 3, 4, 6, 7, 8, 9}, {3, 7, 8},
       {0, 1, 2, 3, 6, 7, 8}, {0, 2, 3, 4, 5, 7, 8}},
      {"1/0/9/1/0/0/0/1/normal", "1/0/9/2/0/1/0/2/normal",
-      "10/0/9/8/0/0/0/9/normal", "1/0/9/3/2/0/0/3/normal",
-      "3/0/9/6/0/0/0/7/normal", "2/0/9/7/0/0/0/7/normal"},
-     0x83f944c8a4ed5bee},
+      "10/0/9/8/1/0/0/9/normal", "1/0/9/3/2/0/0/3/normal",
+      "3/0/9/6/1/1/0/7/normal", "2/0/9/7/2/2/0/7/normal"},
+     0x1ea030098ddec817},
     {3,
      {{0, 1, 2, 5, 7}, {2, 3, 7, 8}, {2, 3, 7, 8, 9}, {0, 2, 4, 6, 7}, {1, 4},
       {}},
      {"2/0/10/5/0/2/0/5/normal", "2/0/10/4/2/0/0/4/normal",
-      "2/0/10/5/0/0/0/5/normal", "2/0/10/5/0/2/0/5/normal",
+      "2/0/10/5/2/0/0/5/normal", "2/0/10/5/0/2/0/5/normal",
       "1/0/10/2/0/0/0/2/normal", "0/0/0/0/0/0/0/0/normal"},
-     0xea5f5dc6365aa687},
+     0xe0888787dd3a1273},
     {4,
      {{3, 8}, {0, 1, 2, 7}, {}, {3, 8}, {0, 1, 2, 7}, {}},
      {"2/0/10/2/2/0/0/2/normal", "1/0/10/4/0/2/0/4/normal",
@@ -206,9 +212,9 @@ const PinnedRun kInterpretedRuns[] = {
      {{1, 6}, {0, 1, 2, 4, 5, 6, 7}, {}, {0, 2, 5, 7}, {2, 3, 7, 8},
       {2, 3, 7, 8}},
      {"1/0/9/1/0/0/0/2/normal", "1/0/9/6/0/2/0/7/normal",
-      "1/0/9/0/0/1/0/0/normal", "2/0/9/4/0/0/0/4/normal",
+      "1/0/9/0/0/1/0/0/normal", "2/0/9/4/2/2/0/4/normal",
       "1/0/9/4/2/0/0/4/normal", "2/0/9/4/2/0/0/4/normal"},
-     0xe72cfb71a3b34696},
+     0xc5617218b7fa4594},
     {6,
      {{0, 1, 4, 5, 9}, {2, 3, 7, 8}, {0, 1, 2, 4, 5, 6, 7, 9},
       {0, 1, 2, 4, 5, 7, 9}, {0, 1, 2, 5, 7}, {}},
@@ -217,18 +223,17 @@ const PinnedRun kInterpretedRuns[] = {
       "1/0/9/5/0/2/0/5/normal", "0/0/0/0/0/0/0/0/normal"},
      0x89d0c7a839cf74c1},
     {7,
-     {{2, 3, 4, 5, 7, 8}, {1, 5, 6, 9}, {0, 2, 5, 7}, {2, 7}, {2, 7},
-      {0, 4, 5}},
-     {"2/0/8/5/0/0/0/6/normal", "4/0/8/3/0/0/0/4/normal",
+     {{2, 3, 4, 5, 8}, {1, 5, 6, 9}, {0, 2, 5, 7}, {2, 7}, {2, 7}, {0, 4, 5}},
+     {"2/0/8/4/2/1/0/5/normal", "4/0/8/3/0/0/0/4/normal",
       "1/0/8/4/0/2/0/4/normal", "2/0/8/2/2/0/0/2/normal",
       "2/0/8/2/2/0/0/2/normal", "1/0/8/3/0/2/0/3/normal"},
-     0x804230df41d722f3},
+     0xee32947d7beb0887},
     {8,
-     {{1, 2, 7}, {0, 1, 2, 3, 5, 7, 8}, {}, {0, 2, 7}, {2, 3, 7, 8}, {2, 7}},
-     {"2/0/9/3/0/0/0/3/normal", "3/0/9/7/0/0/0/7/normal",
-      "0/0/0/0/0/0/0/0/normal", "3/0/9/3/0/0/0/3/normal",
+     {{1, 2}, {0, 1, 2, 3, 5, 7, 8}, {}, {0}, {2, 3, 7, 8}, {2, 7}},
+     {"2/0/9/2/2/0/0/2/normal", "3/0/9/7/2/0/0/7/normal",
+      "0/0/0/0/0/0/0/0/normal", "3/0/9/1/2/0/0/1/normal",
       "3/0/9/4/2/0/0/4/normal", "1/0/9/2/2/0/0/2/normal"},
-     0x7ff930ff773b7de7},
+     0x3efa014ded5c1e83},
     {9,
      {{1, 4, 9}, {2, 7, 8}, {0, 1, 2, 3, 5, 7, 8}, {2, 3, 7, 8}, {2, 7},
       {0, 1, 4, 5, 9}},
@@ -250,15 +255,22 @@ const PinnedRun kInterpretedRuns[] = {
      0xcde0a08617c0b777},
 };
 
+// Ejects the literal above held before delta-join decomposition replaced
+// the multi-table guard: two-table batches no longer eject these pages.
+// Each was false, which the test proves by re-execution.
+const std::vector<DroppedEjects> kGuardOnlyEjects = {
+    {1, 1, {2, 7}}, {7, 0, {7}}, {8, 0, {7}}, {8, 3, {2, 7}},
+};
+
 // Seed 1's full final StatsReport(), so a report mismatch is readable.
-constexpr char kSeed1Report[] = R"(invalidator: cycles=13 updates=20 checks=40 affected=24 unaffected=14 polls=0 idx-answered=2 poll-hits=0 conservative=0 emergency-flushes=0 pages-invalidated=26 messages-sent=26 send-failures=0
+constexpr char kSeed1Report[] = R"(invalidator: cycles=13 updates=20 checks=40 affected=20 unaffected=14 polls=4 idx-answered=2 poll-hits=2 conservative=0 emergency-flushes=0 pages-invalidated=24 messages-sent=24 send-failures=0
   strategy: exact=4 compiled-batch=1 interpret=0 poll=0
   strategy-demotions: 'multi-table FROM'=1
   type 'discovered-5': instances=8 checks=8 affected=6 polls=0 inval-ratio=0.75 avg-time-us=0 max-time-us=0 tier=exact
   type 'discovered-4': instances=6 checks=8 affected=4 polls=0 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=exact
   type 'discovered-2': instances=6 checks=8 affected=4 polls=0 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=exact
   type 'discovered-1': instances=6 checks=8 affected=4 polls=0 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=exact
-  type 'discovered-3': instances=10 checks=8 affected=8 polls=0 inval-ratio=1 avg-time-us=0 max-time-us=0 tier=compiled-batch
+  type 'discovered-3': instances=8 checks=8 affected=4 polls=4 inval-ratio=0.5 avg-time-us=0 max-time-us=0 tier=compiled-batch
 )";
 
 class PipelineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
@@ -277,6 +289,7 @@ TEST_P(PipelineDifferentialTest, ShardAndWorkerCountsDoNotChangeDecisions) {
       MatrixResult got = RunMatrixScenario(GetParam(), shards, workers);
       ExpectReproduces(pinned, got.cycle_invalidated, got.cycle_reports,
                        got.stats_report);
+      ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects, got.changed);
       if (GetParam() == 1) {
         EXPECT_EQ(got.stats_report, kSeed1Report);
       }
@@ -831,7 +844,8 @@ TEST_F(RetirementFeedTest, RestoreForcesAFullSweep) {
 // terms), a re-execution oracle must find no page whose query result
 // changed left cached, the heavy type must be probed on either side, and
 // a LargeT-only batch may poll only the heavy instances whose group some
-// delta tuple carries.
+// delta tuple carries. Mixed batches, which change both tables and so
+// run the delta-join decomposition, are checked by the oracle alone.
 // ---------------------------------------------------------------------------
 
 constexpr int kJoinGroups = 6;
@@ -854,15 +868,6 @@ std::string JoinWorldSql(int page) {
   }
 }
 
-std::string ResultText(const db::QueryResult& result) {
-  std::string text;
-  for (const db::Row& row : result.rows) {
-    for (const sql::Value& v : row) text += v.ToSqlLiteral() + ",";
-    text += ";";
-  }
-  return text;
-}
-
 struct JoinWorldCycle {
   std::set<int> ejected;
   std::set<int> stale;  // Pages whose result changed but stayed cached.
@@ -875,7 +880,7 @@ struct JoinWorldCycle {
 };
 
 std::vector<JoinWorldCycle> RunJoinWorld(uint64_t seed, size_t workers,
-                                         size_t shards) {
+                                         size_t shards, bool mixed) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -917,11 +922,12 @@ std::vector<JoinWorldCycle> RunJoinWorld(uint64_t seed, size_t workers,
       before[page] = ResultText(db.ExecuteSql(JoinWorldSql(page)).value());
     }
 
-    // One table per batch, so the multi-table guard never applies. Groups
-    // kJoinGroups and kJoinGroups + 1 have no pages.
+    // One table per batch, or with `mixed` both: SmallT then LargeT, then
+    // either. Groups kJoinGroups and kJoinGroups + 1 have no pages.
     JoinWorldCycle out;
-    const char* table = rng.Uniform(3) == 0 ? "SmallT" : "LargeT";
-    out.large_only = std::string(table) == "LargeT";
+    const char* table = "SmallT";
+    if (!mixed && rng.Uniform(3) != 0) table = "LargeT";
+    out.large_only = !mixed && std::string(table) == "LargeT";
     std::set<int64_t> delta_groups;
     auto group_of = [&](int64_t id) -> std::optional<int64_t> {
       db::QueryResult r =
@@ -930,8 +936,10 @@ std::vector<JoinWorldCycle> RunJoinWorld(uint64_t seed, size_t workers,
       if (r.rows.empty()) return std::nullopt;
       return r.rows[0][0].AsInt();
     };
-    const int batch = 1 + static_cast<int>(rng.Uniform(3));
+    const int batch = (mixed ? 2 : 1) + static_cast<int>(rng.Uniform(3));
     for (int u = 0; u < batch; ++u) {
+      if (mixed && u == 1) table = "LargeT";
+      if (mixed && u > 1) table = rng.Uniform(2) == 0 ? "SmallT" : "LargeT";
       const int64_t id = static_cast<int64_t>(rng.Uniform(next_id));
       const uint64_t grp = rng.Uniform(kJoinGroups + 2);
       switch (rng.Uniform(4)) {
@@ -1005,7 +1013,8 @@ TEST_P(JoinWorldTest, EjectsPinnedPagesLeavesNoStalePageAndPollsOnlyMatches) {
   for (auto [workers, shards] : {std::pair<size_t, size_t>{1, 1}, {4, 4}}) {
     SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers, " shards ",
                         shards));
-    std::vector<JoinWorldCycle> cycles = RunJoinWorld(seed, workers, shards);
+    std::vector<JoinWorldCycle> cycles =
+        RunJoinWorld(seed, workers, shards, /*mixed=*/false);
     const std::vector<std::set<int>>& pinned = kJoinWorldEjected[seed - 1];
     ASSERT_EQ(cycles.size(), pinned.size());
     for (size_t c = 0; c < cycles.size(); ++c) {
@@ -1020,6 +1029,22 @@ TEST_P(JoinWorldTest, EjectsPinnedPagesLeavesNoStalePageAndPollsOnlyMatches) {
         EXPECT_LE(cycles[c].polls_issued, cycles[c].heavy_groups_touched);
       }
     }
+  }
+}
+
+TEST_P(JoinWorldTest, MixedBatchesLeaveNoStalePage) {
+  const uint64_t seed = GetParam();
+  for (auto [workers, shards] : {std::pair<size_t, size_t>{1, 1}, {4, 4}}) {
+    SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers, " shards ",
+                        shards));
+    std::vector<JoinWorldCycle> cycles =
+        RunJoinWorld(seed, workers, shards, /*mixed=*/true);
+    size_t ejected = 0;
+    for (size_t c = 0; c < cycles.size(); ++c) {
+      EXPECT_TRUE(cycles[c].stale.empty()) << "cycle " << c;
+      ejected += cycles[c].ejected.size();
+    }
+    EXPECT_GT(ejected, 0u);
   }
 }
 

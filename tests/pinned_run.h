@@ -2,7 +2,9 @@
 // suites compare the impact path against these literals, recorded from
 // the two candidate-discovery paths that once ran beside it behind
 // options: the interpreted walk (every instance analyzed, no bind index
-// consulted) and the per-tuple bind-index probe.
+// consulted) and the per-tuple bind-index probe. A literal re-recorded
+// since keeps the ejects it dropped as DroppedEjects, checked by
+// re-execution.
 #ifndef CACHEPORTAL_TESTS_PINNED_RUN_H_
 #define CACHEPORTAL_TESTS_PINNED_RUN_H_
 
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "db/database.h"
 #include "sql/template.h"
 
 namespace cacheportal::invalidator {
@@ -48,6 +51,64 @@ inline std::set<int> PageNumbers(const std::set<std::string>& keys) {
     out.insert(number);
   }
   return out;
+}
+
+/// A query result as comparable text, for re-execution oracles.
+inline std::string ResultText(const db::QueryResult& result) {
+  std::string text;
+  for (const db::Row& row : result.rows) {
+    for (const sql::Value& v : row) text += v.ToSqlLiteral() + ",";
+    text += ";";
+  }
+  return text;
+}
+
+/// The result text of page N's query, `sqls[N]`, for every page.
+inline std::vector<std::string> ResultTexts(
+    db::Database& db, const std::vector<std::string>& sqls) {
+  std::vector<std::string> texts;
+  for (const std::string& sql : sqls) {
+    texts.push_back(ResultText(db.ExecuteSql(sql).value()));
+  }
+  return texts;
+}
+
+/// The pages whose result text differs between two ResultTexts calls.
+inline std::set<int> ChangedPages(const std::vector<std::string>& before,
+                                  const std::vector<std::string>& after) {
+  std::set<int> changed;
+  for (size_t page = 0; page < before.size(); ++page) {
+    if (before[page] != after[page]) changed.insert(static_cast<int>(page));
+  }
+  return changed;
+}
+
+/// Pages that an earlier recording of a seed's PinnedRun ejected in one
+/// cycle and the current recording keeps cached.
+struct DroppedEjects {
+  uint64_t seed = 0;
+  size_t cycle = 0;
+  std::set<int> pages;
+};
+
+/// A re-recorded literal may only drop false ejects. Every dropped page
+/// must be gone from `pinned` and must re-execute to the result it had
+/// before that cycle's updates: it is not in `changed[cycle]`, the pages
+/// whose result did change.
+inline void ExpectDroppedEjectsWereFalse(
+    const PinnedRun& pinned, const std::vector<DroppedEjects>& dropped,
+    const std::vector<std::set<int>>& changed) {
+  for (const DroppedEjects& entry : dropped) {
+    if (entry.seed != pinned.seed) continue;
+    ASSERT_LT(entry.cycle, pinned.ejected.size());
+    ASSERT_LT(entry.cycle, changed.size());
+    for (int page : entry.pages) {
+      SCOPED_TRACE(testing::Message() << "seed " << entry.seed << " cycle "
+                                      << entry.cycle << " page " << page);
+      EXPECT_FALSE(pinned.ejected[entry.cycle].contains(page));
+      EXPECT_FALSE(changed[entry.cycle].contains(page));
+    }
+  }
 }
 
 /// Expects one run's outputs to reproduce `pinned` exactly. The report is

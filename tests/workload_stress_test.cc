@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 
 #include "common/random.h"
 #include "workload/paper_site.h"
@@ -13,16 +14,21 @@ namespace {
 /// interleaved request and update traffic. The invariant checked after
 /// every synchronization cycle is the system's core guarantee — every
 /// page still in the cache renders exactly what the servlet would
-/// generate right now.
-class StressTest : public ::testing::TestWithParam<uint64_t> {};
+/// generate right now. Each seed runs at one worker and at four, over
+/// four metadata shards.
+class StressTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>> {};
 
 TEST_P(StressTest, CachedPagesAreNeverStaleAfterACycle) {
+  const auto [seed, workers] = GetParam();
   PaperSiteOptions options;
   options.small_rows = 60;   // Scaled down: validation re-renders pages.
   options.large_rows = 200;
-  options.seed = GetParam();
+  options.seed = seed;
+  options.portal.invalidator.worker_threads = workers;
+  options.portal.invalidator.metadata_shards = 4;
   PaperSite site(options);
-  Random rng(GetParam() * 977 + 13);
+  Random rng(seed * 977 + 13);
 
   uint64_t hits = 0, requests = 0;
   for (int round = 0; round < 12; ++round) {
@@ -69,8 +75,10 @@ TEST_P(StressTest, CachedPagesAreNeverStaleAfterACycle) {
   EXPECT_GT(site.portal()->page_cache()->stats().invalidations, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, StressTest,
-                         ::testing::Values(1, 7, 42, 1234));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, StressTest,
+    ::testing::Combine(::testing::Values<uint64_t>(1, 7, 42, 1234),
+                       ::testing::Values<size_t>(1, 4)));
 
 TEST(WorkloadTest, PageClassesProduceDistinctPages) {
   PaperSiteOptions options;
