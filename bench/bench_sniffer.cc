@@ -1,7 +1,8 @@
 // Sniffer overhead benchmark, backing the paper's claim (Section 2.4)
 // that the sniffer is never the bottleneck: per-request logging and
 // request-to-query mapping cost versus the cost of actually generating a
-// page (executing its query). Also scales the mapper over growing logs.
+// page (executing its query). Also scales the mapper over growing logs,
+// and the QI/URL map's refresh and eject paths over growing maps.
 
 #include <benchmark/benchmark.h>
 
@@ -93,6 +94,86 @@ void BM_QiUrlMapAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QiUrlMapAdd);
+
+/// perfbench many_pages' shapes: one light page per group, built from one
+/// single-table query.
+std::string GroupSql(int group) {
+  return StrCat("SELECT id, grp, val FROM SmallT WHERE grp = ", group);
+}
+std::string GroupPage(int group) {
+  return StrCat("site/light?grp=", group, "##");
+}
+
+/// A map holding `rows` (query, page) rows, one per group.
+void FillMap(sniffer::QiUrlMap* map, int rows) {
+  for (int g = 0; g < rows; ++g) map->Add(GroupSql(g), GroupPage(g), "/r", 0);
+}
+
+/// The mapper's steady state on many_pages: a sync's 100 missed
+/// requests rebuild pages whose (query, page) rows the map already holds,
+/// so every Add is a timestamp refresh, against maps of 10^3..10^5 rows.
+/// BM_MapperRun only ever maps into an empty map.
+void BM_MapperRefreshVsMapSize(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  constexpr int kRequests = 100;
+  sniffer::QiUrlMap map;
+  FillMap(&map, rows);
+  Micros t = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sniffer::RequestLog requests;
+    sniffer::QueryLog queries;
+    sniffer::RequestToQueryMapper mapper(&requests, &queries, &map);
+    for (int i = 0; i < kRequests; ++i) {
+      int group = static_cast<int>((t / 100 * 7919) % rows);
+      uint64_t id =
+          requests.Open("light", "/light", "", "", GroupPage(group), t);
+      queries.Append(GroupSql(group), true, t + 10, t + 40);
+      requests.Close(id, t + 60);
+      t += 100;
+    }
+    state.ResumeTiming();
+    size_t added = mapper.Run();
+    benchmark::DoNotOptimize(added);
+  }
+  state.SetItemsProcessed(state.iterations() * kRequests);
+  state.counters["rows"] = static_cast<double>(map.size());
+}
+BENCHMARK(BM_MapperRefreshVsMapSize)
+    ->RangeMultiplier(10)
+    ->Range(1000, 100000)
+    ->ArgName("rows")
+    ->Unit(benchmark::kMicrosecond);
+
+/// Delivery's RemovePage plus the orphan feed drain, 100 pages per
+/// iteration out of a map of 10^3..10^5 rows; the pages come back
+/// untimed so the map keeps its size.
+void BM_QiUrlMapRemovePageVsMapSize(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  constexpr int kPages = 100;
+  sniffer::QiUrlMap map;
+  FillMap(&map, rows);
+  int next = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < kPages; ++k) {
+      map.RemovePage(GroupPage((next + k) % rows));
+    }
+    benchmark::DoNotOptimize(map.TakeOrphans());
+    state.PauseTiming();
+    for (int k = 0; k < kPages; ++k) {
+      int group = (next + k) % rows;
+      map.Add(GroupSql(group), GroupPage(group), "/r", 0);
+    }
+    next = (next + kPages) % rows;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kPages);
+}
+BENCHMARK(BM_QiUrlMapRemovePageVsMapSize)
+    ->RangeMultiplier(10)
+    ->Range(1000, 100000)
+    ->ArgName("rows")
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

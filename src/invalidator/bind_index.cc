@@ -54,13 +54,12 @@ void BindIndex::AddInstance(const TypeMatcher& matcher,
   for (const auto& [table_lower, anchor] : matcher.anchors()) {
     // A derived anchor probes its source's postings (same keys).
     if (anchor.derived()) continue;
-    std::pair<uint64_t, std::string> key(instance.type_id, table_lower);
-    AnchorIndex& index = indexes_[key];
+    AnchorIndex& index = indexes_[std::make_pair(instance.type_id, table_lower)];
 
     auto post = [&](Posting::Container container, double num_key,
                     std::string str_key) {
       Posting posting;
-      posting.index_key = key;
+      posting.index = &index;
       posting.container = container;
       posting.num_key = num_key;
       posting.str_key = std::move(str_key);
@@ -183,18 +182,15 @@ void BindIndex::AddInstance(const TypeMatcher& matcher,
     }
   }
 
-  postings_.emplace(id, std::move(posts));
-  type_of_instance_.emplace(id, instance.type_id);
+  postings_.emplace(id, InstancePostings{instance.type_id, std::move(posts)});
   ++count_by_type_[instance.type_id];
 }
 
 void BindIndex::RemoveInstance(uint64_t instance_id) {
   auto posting_it = postings_.find(instance_id);
   if (posting_it == postings_.end()) return;
-  for (const Posting& posting : posting_it->second) {
-    auto index_it = indexes_.find(posting.index_key);
-    if (index_it == indexes_.end()) continue;
-    AnchorIndex& index = index_it->second;
+  for (const Posting& posting : posting_it->second.posts) {
+    AnchorIndex& index = *posting.index;
     switch (posting.container) {
       case Posting::Container::kEqNum:
         EraseEntry(index.eq_num, posting.num_key, instance_id);
@@ -222,15 +218,11 @@ void BindIndex::RemoveInstance(uint64_t instance_id) {
         break;
     }
   }
-  postings_.erase(posting_it);
-  auto type_it = type_of_instance_.find(instance_id);
-  if (type_it != type_of_instance_.end()) {
-    auto count_it = count_by_type_.find(type_it->second);
-    if (count_it != count_by_type_.end() && --count_it->second == 0) {
-      count_by_type_.erase(count_it);
-    }
-    type_of_instance_.erase(type_it);
+  auto count_it = count_by_type_.find(posting_it->second.type_id);
+  if (count_it != count_by_type_.end() && --count_it->second == 0) {
+    count_by_type_.erase(count_it);
   }
+  postings_.erase(posting_it);
 }
 
 size_t BindIndex::IndexedCountOfType(uint64_t type_id) const {

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -108,15 +109,15 @@ class BindIndex {
     // BETWEEN: low -> (high, id), both bounds same-class.
     std::multimap<double, std::pair<double, uint64_t>> between_num;
     std::multimap<std::string, std::pair<std::string, uint64_t>> between_str;
-    // Instances no probe of the given class can exclude (ascending ids,
-    // the registration order; a set so retirement stays O(log n)).
-    std::set<uint64_t> always_num;
-    std::set<uint64_t> always_str;
+    // Instances no probe of the given class can exclude. Unordered: a
+    // probe ORs them into per-instance bitmaps, so order is unobservable.
+    std::unordered_set<uint64_t> always_num;
+    std::unordered_set<uint64_t> always_str;
   };
 
   /// Reverse record of one container entry, for O(log + k) removal.
   struct Posting {
-    std::pair<uint64_t, std::string> index_key;  // (type_id, table_lower)
+    AnchorIndex* index = nullptr;  // Stable: indexes_ never erases.
     enum class Container {
       kEqNum,
       kEqStr,
@@ -130,11 +131,14 @@ class BindIndex {
     double num_key = 0;
     std::string str_key;
   };
+  struct InstancePostings {
+    uint64_t type_id = 0;
+    std::vector<Posting> posts;
+  };
 
   std::map<std::pair<uint64_t, std::string>, AnchorIndex> indexes_;
-  std::map<uint64_t, std::vector<Posting>> postings_;  // By instance_id.
-  std::map<uint64_t, uint64_t> type_of_instance_;
-  std::map<uint64_t, size_t> count_by_type_;
+  std::unordered_map<uint64_t, InstancePostings> postings_;  // By instance_id.
+  std::unordered_map<uint64_t, size_t> count_by_type_;
 };
 
 }  // namespace cacheportal::invalidator

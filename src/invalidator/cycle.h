@@ -6,8 +6,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -121,9 +121,9 @@ struct CycleContext {
   /// The per-instance work list (the instances the probes could not
   /// rule out) with verdicts merged in.
   std::vector<InstanceAnalysis> work;
-  /// SQL of every instance decided affected so far (ordered — delivery
-  /// iterates it deterministically).
-  std::set<std::string> affected;
+  /// Ids (QueryInstance::instance_id) of every instance decided affected
+  /// so far. Unordered: delivery sorts them by SQL text.
+  std::unordered_set<uint64_t> affected;
   /// Undecided instances' polling work, handed to PollStage.
   std::vector<PollingTask> tasks;
 };
@@ -134,6 +134,7 @@ struct CycleContext {
 /// objects to run a single stage in isolation.
 struct StageEnv {
   db::Database* database = nullptr;
+  /// Shares its IdInterner with `plane` (MetadataPlane's `ids`).
   sniffer::QiUrlMap* map = nullptr;
   const Clock* clock = nullptr;
   const InvalidatorOptions* options = nullptr;

@@ -18,7 +18,8 @@ Invalidator::Invalidator(db::Database* database, sniffer::QiUrlMap* map,
       map_(map),
       clock_(clock),
       options_(options),
-      plane_(database, options.metadata_shards, options.exact_strategy),
+      plane_(database, options.metadata_shards, options.exact_strategy,
+             map->shared_ids()),
       info_(database),
       scheduler_(options.max_polls_per_cycle) {
   policy_.SetThresholds(options_.thresholds);

@@ -9,16 +9,26 @@
 namespace cacheportal::invalidator {
 
 MetadataPlane::MetadataPlane(db::Database* database, size_t num_shards,
-                             bool exact_strategy)
-    : database_(database), exact_strategy_(exact_strategy) {
+                             bool exact_strategy,
+                             std::shared_ptr<IdInterner> ids)
+    : database_(database),
+      exact_strategy_(exact_strategy),
+      ids_(ids != nullptr ? std::move(ids) : std::make_shared<IdInterner>()) {
   if (num_shards == 0) num_shards = 1;
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<ShardSlot>());
+    shards_.push_back(std::make_unique<ShardSlot>(&ids_->queries));
     // Discovered-type names number types across the WHOLE plane, not per
     // shard — StatsReport() must read identically at any shard count.
     shards_.back()->shard.registry.SetTypeCounter(&type_count_);
   }
+}
+
+std::optional<uint64_t> MetadataPlane::RouteOf(QueryId query) const {
+  std::shared_lock<std::shared_mutex> route(route_mu_);
+  auto it = type_by_query_.find(query);
+  if (it == type_by_query_.end()) return std::nullopt;
+  return it->second;
 }
 
 Status MetadataPlane::RegisterType(const std::string& name,
@@ -39,28 +49,27 @@ Status MetadataPlane::RegisterType(const std::string& name,
 
 Result<const QueryInstance*> MetadataPlane::RegisterInstance(
     const std::string& sql) {
-  // Fast path: a live instance's SQL routes via the route map without
-  // parsing (re-registration is the common case — the sniffer re-adds a
-  // row every time a cached page rebuilds).
-  uint64_t known_type = 0;
-  bool known = false;
-  {
-    std::shared_lock<std::shared_mutex> route(route_mu_);
-    auto it = type_by_sql_.find(sql);
-    if (it != type_by_sql_.end()) {
-      known_type = it->second;
-      known = true;
-    }
-  }
-  if (known) {
-    ShardSlot& slot = SlotOfType(known_type);
+  QueryId query = ids_->queries.Acquire(sql);
+  Result<const QueryInstance*> instance = RegisterInstance(query);
+  ids_->queries.Release(query);  // A registered instance holds its own.
+  return instance;
+}
+
+Result<const QueryInstance*> MetadataPlane::RegisterInstance(QueryId query) {
+  // Fast path: a live instance routes via the route map without parsing
+  // (re-registration is the common case — the sniffer re-adds a row
+  // every time a cached page rebuilds).
+  if (std::optional<uint64_t> known_type = RouteOf(query)) {
+    ShardSlot& slot = SlotOfType(*known_type);
     std::lock_guard<std::mutex> lock(slot.mu);
-    const QueryInstance* instance = slot.shard.registry.FindInstance(sql);
+    const QueryInstance* instance =
+        slot.shard.registry.FindInstanceById(query);
     // A concurrent retirement may have raced the lookup; fall through to
     // the slow path if so.
     if (instance != nullptr) return instance;
   }
 
+  const std::string& sql = ids_->queries.Text(query);
   CACHEPORTAL_ASSIGN_OR_RETURN(auto select, sql::Parser::ParseSelect(sql));
   CACHEPORTAL_ASSIGN_OR_RETURN(sql::QueryTemplate tmpl,
                                sql::ExtractTemplate(*select));
@@ -70,55 +79,52 @@ Result<const QueryInstance*> MetadataPlane::RegisterInstance(
   {
     ShardSlot& slot = SlotOfType(type_id);
     std::lock_guard<std::mutex> lock(slot.mu);
-    fresh = slot.shard.registry.FindInstance(sql) == nullptr;
+    fresh = slot.shard.registry.FindInstanceById(query) == nullptr;
     CACHEPORTAL_ASSIGN_OR_RETURN(
         instance, slot.shard.registry.RegisterParsedInstance(
-                      sql, std::move(select), std::move(tmpl)));
+                      query, std::move(select), std::move(tmpl)));
     IndexInstanceLocked(slot.shard, *instance);
   }
   {
     std::unique_lock<std::shared_mutex> route(route_mu_);
-    type_by_sql_[sql] = type_id;
+    type_by_query_[query] = type_id;
   }
   if (fresh) NotifyObserver(/*registered=*/true, sql);
   return instance;
 }
 
 void MetadataPlane::RetireInstance(const std::string& sql) {
-  uint64_t type_id = 0;
+  std::optional<QueryId> query = ids_->queries.Find(sql);
+  if (query.has_value()) RetireInstance(*query);
+}
+
+void MetadataPlane::RetireInstance(QueryId query) {
+  std::optional<uint64_t> type_id = RouteOf(query);
+  if (!type_id.has_value()) return;
+  std::optional<std::string> sql;
   {
-    std::shared_lock<std::shared_mutex> route(route_mu_);
-    auto it = type_by_sql_.find(sql);
-    if (it == type_by_sql_.end()) return;
-    type_id = it->second;
-  }
-  {
-    ShardSlot& slot = SlotOfType(type_id);
+    ShardSlot& slot = SlotOfType(*type_id);
     std::lock_guard<std::mutex> lock(slot.mu);
-    const QueryInstance* instance = slot.shard.registry.FindInstance(sql);
-    if (instance != nullptr) {
-      slot.shard.bind_index.RemoveInstance(instance->instance_id);
-    }
-    slot.shard.registry.UnregisterInstance(sql);
+    slot.shard.bind_index.RemoveInstance(query);
+    sql = slot.shard.registry.UnregisterInstance(query);
   }
   {
     std::unique_lock<std::shared_mutex> route(route_mu_);
-    type_by_sql_.erase(sql);
+    type_by_query_.erase(query);
   }
-  NotifyObserver(/*registered=*/false, sql);
+  if (sql.has_value()) NotifyObserver(/*registered=*/false, *sql);
 }
 
 const QueryInstance* MetadataPlane::FindInstance(const std::string& sql) const {
-  uint64_t type_id = 0;
-  {
-    std::shared_lock<std::shared_mutex> route(route_mu_);
-    auto it = type_by_sql_.find(sql);
-    if (it == type_by_sql_.end()) return nullptr;
-    type_id = it->second;
-  }
-  ShardSlot& slot = SlotOfType(type_id);
+  std::optional<QueryId> query = ids_->queries.Find(sql);
+  if (!query.has_value()) return nullptr;
+  std::optional<uint64_t> type_id = RouteOf(*query);
+  if (!type_id.has_value()) return nullptr;
+  ShardSlot& slot = SlotOfType(*type_id);
   std::lock_guard<std::mutex> lock(slot.mu);
-  return slot.shard.registry.FindInstance(sql);
+  const QueryInstance* instance = slot.shard.registry.FindInstanceById(*query);
+  // The id was looked up without a reference: check it still names `sql`.
+  return instance != nullptr && instance->sql == sql ? instance : nullptr;
 }
 
 const QueryType* MetadataPlane::FindType(uint64_t type_id) const {

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/interner.h"
 #include "common/status.h"
 #include "db/database.h"
 #include "invalidator/bind_index.h"
@@ -40,6 +41,10 @@ namespace cacheportal::invalidator {
 /// so invalidation decisions and StatsReport() are byte-identical at any
 /// shard count.
 ///
+/// Instances are keyed by QueryId in the IdInterner the plane shares
+/// with the QI/URL map it ingests from, so the cycle hands ids, not SQL
+/// text, between the map, the registry, the bind index and delivery.
+///
 /// Locking contract:
 ///   - RegisterInstance / RegisterType / FindInstance / FindType and the
 ///     counting accessors are safe from any thread at any time.
@@ -57,6 +62,8 @@ class MetadataPlane {
   /// lock, via WithShard*) so cycle stages can run the registry, matcher,
   /// and bind-index machinery directly.
   struct Shard {
+    explicit Shard(TextInterner* queries) : registry(queries) {}
+
     QueryTypeRegistry registry;
     std::map<uint64_t, TypeMatcher> matchers;
     BindIndex bind_index;
@@ -76,14 +83,17 @@ class MetadataPlane {
   /// `database` is needed to compile type matchers (schema lookups); not
   /// owned. `num_shards` of 0 is treated as 1. `exact_strategy`
   /// (InvalidatorOptions::exact_strategy) allows the exact tier in tier
-  /// assignment.
+  /// assignment. `ids` is the QI/URL map's interner (null: a private
+  /// one, for a plane no map feeds).
   MetadataPlane(db::Database* database, size_t num_shards,
-                bool exact_strategy);
+                bool exact_strategy, std::shared_ptr<IdInterner> ids = nullptr);
 
   MetadataPlane(const MetadataPlane&) = delete;
   MetadataPlane& operator=(const MetadataPlane&) = delete;
 
   size_t num_shards() const { return shards_.size(); }
+  /// The interner naming instance ids.
+  IdInterner& ids() const { return *ids_; }
   size_t ShardOfType(uint64_t type_id) const {
     return type_id % shards_.size();
   }
@@ -95,9 +105,12 @@ class MetadataPlane {
 
   /// Registers a query instance and indexes its bind values, compiling
   /// the type's matcher on first contact. Idempotent; safe from any
-  /// thread. The parse runs outside the shard lock; a known SQL takes
-  /// only a shared route-map lookup plus the shard lock.
+  /// thread. The parse runs outside the shard lock; a known instance
+  /// takes only a shared route-map lookup plus the shard lock.
   Result<const QueryInstance*> RegisterInstance(const std::string& sql);
+  /// The same for an id of ids().queries the caller holds a reference on
+  /// (a QI/URL map row does); the instance takes its own.
+  Result<const QueryInstance*> RegisterInstance(QueryId query);
 
   /// Unregisters an instance AND drops its index postings. Every
   /// unregistration must go through here or the index would keep
@@ -105,6 +118,7 @@ class MetadataPlane {
   /// live/indexed count cross-check would disable probing for the whole
   /// type. Cycle thread only.
   void RetireInstance(const std::string& sql);
+  void RetireInstance(QueryId query);
 
   /// The live instance registered for `sql`, or nullptr. Lock-free of
   /// parsing: unknown SQL is answered from the route map alone.
@@ -191,6 +205,8 @@ class MetadataPlane {
 
  private:
   struct ShardSlot {
+    explicit ShardSlot(TextInterner* queries) : shard(queries) {}
+
     mutable std::mutex mu;
     Shard shard;
   };
@@ -216,18 +232,24 @@ class MetadataPlane {
 
   db::Database* database_;
   bool exact_strategy_;
+  // Declared before shards_: their registries release references into
+  // it when destroyed.
+  std::shared_ptr<IdInterner> ids_;
   std::vector<std::unique_ptr<ShardSlot>> shards_;
   /// Plane-global count of types ever created, shared with every shard's
   /// registry so discovered-type names are shard-count-invariant.
   std::atomic<uint64_t> type_count_{0};
 
-  // Route map: SQL of every LIVE instance -> its type_id, so lookups and
+  // Route map: every LIVE instance's id -> its type_id, so lookups and
   // retirement route to a shard without re-parsing. Readers (the
   // re-registration fast path, FindInstance) take the lock shared;
   // never held together with a shard lock (lookup, release, then lock
   // the shard) so the two lock orders cannot deadlock.
   mutable std::shared_mutex route_mu_;
-  std::unordered_map<std::string, uint64_t> type_by_sql_;
+  std::unordered_map<QueryId, uint64_t> type_by_query_;
+
+  /// The type_id `query` routes to, if it is a live instance.
+  std::optional<uint64_t> RouteOf(QueryId query) const;
 
   // The mutation observer, under its own lock (copied out shared, then
   // invoked with no plane lock held — the callback may do I/O).

@@ -1,9 +1,21 @@
 #include "invalidator/registry.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/strings.h"
 #include "sql/parser.h"
 
 namespace cacheportal::invalidator {
+
+QueryTypeRegistry::QueryTypeRegistry(TextInterner* queries)
+    : owned_queries_(queries == nullptr ? std::make_unique<TextInterner>()
+                                        : nullptr),
+      queries_(queries == nullptr ? owned_queries_.get() : queries) {}
+
+QueryTypeRegistry::~QueryTypeRegistry() {
+  for (const auto& [id, instance] : instances_) queries_->Release(id);
+}
 
 Result<uint64_t> QueryTypeRegistry::RegisterType(
     const std::string& name, const std::string& parameterized_sql) {
@@ -33,25 +45,24 @@ Result<uint64_t> QueryTypeRegistry::RegisterType(
 
 Result<const QueryInstance*> QueryTypeRegistry::RegisterInstance(
     const std::string& sql_text) {
-  auto existing = instance_id_by_sql_.find(sql_text);
-  if (existing != instance_id_by_sql_.end()) {
-    return &instances_.at(existing->second);
-  }
+  if (const QueryInstance* existing = FindInstance(sql_text)) return existing;
 
   CACHEPORTAL_ASSIGN_OR_RETURN(auto select,
                                sql::Parser::ParseSelect(sql_text));
   CACHEPORTAL_ASSIGN_OR_RETURN(sql::QueryTemplate tmpl,
                                sql::ExtractTemplate(*select));
-  return RegisterParsedInstance(sql_text, std::move(select), std::move(tmpl));
+  QueryId query = queries_->Acquire(sql_text);
+  Result<const QueryInstance*> instance =
+      RegisterParsedInstance(query, std::move(select), std::move(tmpl));
+  queries_->Release(query);  // The instance holds its own reference.
+  return instance;
 }
 
 Result<const QueryInstance*> QueryTypeRegistry::RegisterParsedInstance(
-    const std::string& sql_text, std::unique_ptr<sql::SelectStatement> select,
+    QueryId query, std::unique_ptr<sql::SelectStatement> select,
     sql::QueryTemplate tmpl) {
-  auto existing = instance_id_by_sql_.find(sql_text);
-  if (existing != instance_id_by_sql_.end()) {
-    return &instances_.at(existing->second);
-  }
+  auto existing = instances_.find(query);
+  if (existing != instances_.end()) return &existing->second;
   auto type_it = types_.find(tmpl.type_id);
   if (type_it == types_.end()) {
     // Query type discovery (Section 4.1.2). The name numbers types in
@@ -71,33 +82,35 @@ Result<const QueryInstance*> QueryTypeRegistry::RegisterParsedInstance(
   type_it->second.stats.instances_seen++;
 
   QueryInstance instance;
-  instance.instance_id = ++next_instance_id_;
-  instance.sql = sql_text;
+  instance.instance_id = query;
+  instance.sql = queries_->Text(query);
   instance.type_id = tmpl.type_id;
   instance.statement = std::move(select);
   instance.bindings = std::move(tmpl.bindings);
-  uint64_t id = instance.instance_id;
-  auto [it, inserted] = instances_.emplace(id, std::move(instance));
-  (void)inserted;
-  instance_id_by_sql_.emplace(sql_text, id);
-  instances_by_type_[tmpl.type_id].emplace(sql_text, &it->second);
+  queries_->Ref(query);
+  auto it = instances_.emplace(query, std::move(instance)).first;
+  instances_by_type_[tmpl.type_id].insert(&it->second);
   return &it->second;
 }
 
 void QueryTypeRegistry::UnregisterInstance(const std::string& sql_text) {
-  auto side = instance_id_by_sql_.find(sql_text);
-  if (side == instance_id_by_sql_.end()) return;
-  uint64_t id = side->second;
-  auto it = instances_.find(id);
-  if (it != instances_.end()) {
-    auto by_type = instances_by_type_.find(it->second.type_id);
-    if (by_type != instances_by_type_.end()) {
-      by_type->second.erase(sql_text);
-      if (by_type->second.empty()) instances_by_type_.erase(by_type);
-    }
-    instances_.erase(it);
+  std::optional<QueryId> query = queries_->Find(sql_text);
+  if (query.has_value()) UnregisterInstance(*query);
+}
+
+std::optional<std::string> QueryTypeRegistry::UnregisterInstance(
+    QueryId query) {
+  auto it = instances_.find(query);
+  if (it == instances_.end()) return std::nullopt;
+  auto by_type = instances_by_type_.find(it->second.type_id);
+  if (by_type != instances_by_type_.end()) {
+    by_type->second.erase(&it->second);
+    if (by_type->second.empty()) instances_by_type_.erase(by_type);
   }
-  instance_id_by_sql_.erase(side);
+  std::string sql_text = std::move(it->second.sql);
+  instances_.erase(it);
+  queries_->Release(query);
+  return sql_text;
 }
 
 const QueryType* QueryTypeRegistry::FindType(uint64_t type_id) const {
@@ -112,14 +125,14 @@ QueryType* QueryTypeRegistry::FindType(uint64_t type_id) {
 
 const QueryInstance* QueryTypeRegistry::FindInstance(
     const std::string& sql_text) const {
-  auto side = instance_id_by_sql_.find(sql_text);
-  if (side == instance_id_by_sql_.end()) return nullptr;
-  return FindInstanceById(side->second);
+  std::optional<QueryId> query = queries_->Find(sql_text);
+  return query.has_value() ? FindInstanceById(*query) : nullptr;
 }
 
 const QueryInstance* QueryTypeRegistry::FindInstanceById(
     uint64_t instance_id) const {
-  auto it = instances_.find(instance_id);
+  if (instance_id > std::numeric_limits<QueryId>::max()) return nullptr;
+  auto it = instances_.find(static_cast<QueryId>(instance_id));
   return it == instances_.end() ? nullptr : &it->second;
 }
 
@@ -138,7 +151,13 @@ void QueryTypeRegistry::ForEachInstanceOfType(
     const std::function<void(const QueryInstance&)>& fn) const {
   auto by_type = instances_by_type_.find(type_id);
   if (by_type == instances_by_type_.end()) return;
-  for (const auto& [sql_text, instance] : by_type->second) fn(*instance);
+  std::vector<const QueryInstance*> sorted(by_type->second.begin(),
+                                           by_type->second.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [](const QueryInstance* a, const QueryInstance* b) {
+              return a->sql < b->sql;
+            });
+  for (const QueryInstance* instance : sorted) fn(*instance);
 }
 
 std::vector<const QueryType*> QueryTypeRegistry::Types() const {

@@ -6,10 +6,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/interner.h"
 #include "common/status.h"
 #include "sql/template.h"
 
@@ -54,8 +58,10 @@ struct QueryType {
 /// the literal values it binds into the type's template ($1..$n order) —
 /// the raw material of the bind-value indexes.
 struct QueryInstance {
-  /// Interned identity, unique across the registry's lifetime (a
-  /// re-registered SQL gets a fresh ID). Stable, cheap container key.
+  /// The QueryId interning `sql`: dense, and the key of every per-instance
+  /// structure. Ids are reused only after their interner reclaims them,
+  /// which the invalidator does between cycles, so an SQL retired and
+  /// re-registered within a cycle gets a fresh id.
   uint64_t instance_id = 0;
   std::string sql;
   uint64_t type_id = 0;
@@ -67,12 +73,15 @@ struct QueryInstance {
 /// declared by domain experts (offline mode) plus types discovered from
 /// the QI/URL map (online mode), and the instances grouped under them.
 ///
-/// Instances are interned: keyed by a small integer ID with a side map
-/// from SQL text, and grouped per type so InstancesOfType / the ForEach
-/// iterators cost O(instances of that type), not O(all instances).
+/// Instances are keyed by their QueryId and grouped per type, so
+/// InstancesOfType / the ForEach iterators cost O(instances of that type),
+/// not O(all instances). Each live instance holds one reference on its id.
 class QueryTypeRegistry {
  public:
-  QueryTypeRegistry() = default;
+  /// `queries` interns instance SQL (not owned; the metadata plane shares
+  /// the QI/URL map's). Null: the registry interns into its own.
+  explicit QueryTypeRegistry(TextInterner* queries = nullptr);
+  ~QueryTypeRegistry();
 
   QueryTypeRegistry(const QueryTypeRegistry&) = delete;
   QueryTypeRegistry& operator=(const QueryTypeRegistry&) = delete;
@@ -96,17 +105,20 @@ class QueryTypeRegistry {
   /// registering, if new) its query type. Returns the instance.
   Result<const QueryInstance*> RegisterInstance(const std::string& sql);
 
-  /// As RegisterInstance, but with the parse and template extraction
-  /// already done by the caller — the metadata plane parses outside its
-  /// shard locks so registration holds a lock only for the map inserts.
-  /// `tmpl` must be ExtractTemplate(*statement)'s output for `sql`; both
-  /// are consumed only when `sql` is not already registered.
+  /// As RegisterInstance, but for the referenced id `query` of the
+  /// interner, with the parse and template extraction already done by
+  /// the caller — the metadata plane parses outside its shard locks so
+  /// registration holds a lock only for the map inserts. `tmpl` must be
+  /// ExtractTemplate(*statement)'s output for the id's SQL; both are
+  /// consumed only when it is not already registered.
   Result<const QueryInstance*> RegisterParsedInstance(
-      const std::string& sql, std::unique_ptr<sql::SelectStatement> statement,
+      QueryId query, std::unique_ptr<sql::SelectStatement> statement,
       sql::QueryTemplate tmpl);
 
   /// Removes an instance (its last cached page disappeared).
   void UnregisterInstance(const std::string& sql);
+  /// Removes an instance by id; returns its SQL, or nullopt when absent.
+  std::optional<std::string> UnregisterInstance(QueryId query);
 
   const QueryType* FindType(uint64_t type_id) const;
   QueryType* FindType(uint64_t type_id);
@@ -116,7 +128,8 @@ class QueryTypeRegistry {
   /// Stable iteration without building pointer vectors. Callbacks must
   /// not mutate the registry (collect, then mutate after the loop).
   /// Types iterate in type_id order; instances of a type in SQL-text
-  /// order — the same orders the vector snapshots below expose.
+  /// order (sorted per call) — the same orders the vector snapshots
+  /// below expose.
   void ForEachType(const std::function<void(const QueryType&)>& fn) const;
   void ForEachTypeMutable(const std::function<void(QueryType&)>& fn);
   void ForEachInstanceOfType(
@@ -133,16 +146,15 @@ class QueryTypeRegistry {
   size_t NumInstancesOfType(uint64_t type_id) const;
 
  private:
+  std::unique_ptr<TextInterner> owned_queries_;  // Set when standalone.
+  TextInterner* queries_;
   std::map<uint64_t, QueryType> types_;
-  std::map<uint64_t, QueryInstance> instances_;  // Keyed by instance_id.
-  std::map<std::string, uint64_t> instance_id_by_sql_;
-  // type_id -> (SQL text -> instance). The inner key keeps per-type
-  // iteration in SQL order, matching the historical scan of the global
-  // SQL-keyed map (scheduler tie-breaks depend on this order). The value
-  // is a direct pointer (stable: instances_ is a node-based map) so the
-  // invalidator's per-cycle sweep does no per-instance id lookup.
-  std::map<uint64_t, std::map<std::string, QueryInstance*>> instances_by_type_;
-  uint64_t next_instance_id_ = 0;
+  // Node-based: instance pointers stay valid until the instance retires.
+  std::unordered_map<QueryId, QueryInstance> instances_;
+  // type_id -> its instances, unordered: iteration sorts them by SQL,
+  // the order scheduler tie-breaks depend on.
+  std::unordered_map<uint64_t, std::unordered_set<const QueryInstance*>>
+      instances_by_type_;
   std::atomic<uint64_t>* type_counter_ = nullptr;  // Not owned; may be null.
 };
 

@@ -15,6 +15,7 @@ namespace cacheportal::invalidator {
 /// find out whether the instance was affected by this cycle's updates.
 struct PollingTask {
   std::string instance_sql;  // The query instance being decided.
+  uint64_t instance_id = 0;  // Its QueryInstance::instance_id.
   uint64_t type_id = 0;      // The instance's query type; polls of one
                              // type share a template, which is what makes
                              // them consolidatable into one disjunction.

@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <tuple>
+#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -68,6 +69,10 @@ Status IngestStage::Run(CycleContext& ctx) {
   ctx.policy = MakeStagePolicy(mode, *env_.options);
   ctx.report.mode = mode;
 
+  // Ids freed before this cycle may be rebound from here on; none freed
+  // during it will be (DESIGN.md §11).
+  env_.plane->ids().Reclaim();
+
   // ---- Registration module, online mode: scan the QI/URL map. ----
   // The map's epoch is a cheap "anything changed?" probe: when it equals
   // the last scan's snapshot the row set is untouched and the scan would
@@ -80,11 +85,11 @@ Status IngestStage::Run(CycleContext& ctx) {
   if (scan) {
     if (env_.last_map_epoch != nullptr) *env_.last_map_epoch = epoch;
     uint64_t max_id = 0;
-    for (const sniffer::QiUrlEntry& entry :
-         env_.map->ReadSince(env_.plane->MinMapCursor())) {
-      max_id = std::max(max_id, entry.id);
+    for (const sniffer::QiUrlRow& row :
+         env_.map->ReadRowsSince(env_.plane->MinMapCursor())) {
+      max_id = std::max(max_id, row.id);
       Result<const QueryInstance*> instance =
-          env_.plane->RegisterInstance(entry.query_sql);
+          env_.plane->RegisterInstance(row.query);
       if (!instance.ok()) {
         // Unparseable query: nothing we can safely track. Drop its pages
         // from consideration (they were cached under a query we cannot
@@ -106,27 +111,24 @@ Status IngestStage::Run(CycleContext& ctx) {
   // it here; it may have gained a page again since, so the count is
   // re-checked. A full sweep covers what the feed cannot: instances
   // recovered by Restore (they may reference pages a rebuilt map never
-  // had) and a feed that overflowed.
+  // had) and a feed that overflowed. The feed's ids stay referenced until
+  // `orphans` is destroyed, so none is rebound while it is checked.
   sniffer::QiUrlMap::Orphans orphans = env_.map->TakeOrphans();
-  std::vector<std::string> retired;
-  const auto check = [&](const std::string& instance_sql) {
-    if (env_.map->NumPagesForQuery(instance_sql) == 0) {
-      retired.push_back(instance_sql);
-    }
+  std::vector<QueryId> retired;
+  const auto check = [&](QueryId query) {
+    if (env_.map->NumPagesForQuery(query) == 0) retired.push_back(query);
   };
   if (env_.retire_sweep_due == nullptr || *env_.retire_sweep_due ||
       !orphans.complete) {
     env_.plane->ForEachInstance(
         [&](const QueryType&, const QueryInstance& instance) {
-          check(instance.sql);
+          check(static_cast<QueryId>(instance.instance_id));
         });
     if (env_.retire_sweep_due != nullptr) *env_.retire_sweep_due = false;
   } else {
-    for (const std::string& instance_sql : orphans.queries) check(instance_sql);
+    for (QueryId query : orphans.queries) check(query);
   }
-  for (const std::string& instance_sql : retired) {
-    env_.plane->RetireInstance(instance_sql);
-  }
+  for (QueryId query : retired) env_.plane->RetireInstance(query);
 
   // ---- Invalidation module: pull the update log. ----
   std::vector<db::UpdateRecord> records =
@@ -192,7 +194,8 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // skipped.
   if (ctx.policy.flush_only) {
     plane.ForEachInstance([&](const QueryType&, const QueryInstance& instance) {
-      if (env_.map->NumPagesForQuery(instance.sql) == 0) return;
+      const auto query = static_cast<QueryId>(instance.instance_id);
+      if (env_.map->NumPagesForQuery(query) == 0) return;
       bool reads_updated_table = false;
       for (const sql::TableRef& ref : instance.statement->from) {
         if (!ctx.deltas.ForTable(ref.table).empty()) {
@@ -201,7 +204,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
         }
       }
       if (!reads_updated_table) return;
-      if (ctx.affected.insert(instance.sql).second) {
+      if (ctx.affected.insert(query).second) {
         ++env_.stats->emergency_flushes;
         ++env_.stats->conservative_invalidations;
         ++ctx.report.conservative_invalidations;
@@ -598,7 +601,8 @@ Status ImpactStage::Run(CycleContext& ctx) {
         a.remaining_polls.push_back(std::move(poll));
       }
     }
-    a.affected_pages = env_.map->NumPagesForQuery(instance.sql);
+    a.affected_pages =
+        env_.map->NumPagesForQuery(static_cast<QueryId>(a.instance_id));
   });
 
   // Serial merge, in work-list order: fold verdicts into the lifetime and
@@ -619,7 +623,6 @@ Status ImpactStage::Run(CycleContext& ctx) {
           block_status = a.status;
           return;
         }
-        const std::string& instance_sql = a.instance->sql;
 
         if (a.multi_table_guard) {
           ++ctx.report.checks;
@@ -629,7 +632,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
             ++mutable_type->stats.checks;
             ++mutable_type->stats.affected;
           }
-          ctx.affected.insert(instance_sql);
+          ctx.affected.insert(a.instance_id);
           continue;
         }
         if (!a.checked) continue;
@@ -650,7 +653,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
         }
 
         if (a.affected) {
-          ctx.affected.insert(instance_sql);
+          ctx.affected.insert(a.instance_id);
           ++env_.stats->affected_immediately;
           if (mutable_type != nullptr) ++mutable_type->stats.affected;
           continue;
@@ -658,7 +661,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
         env_.stats->polls_answered_by_index += a.index_answers;
         ctx.report.polls_answered_by_index += a.index_answers;
         if (a.index_affected) {
-          ctx.affected.insert(instance_sql);
+          ctx.affected.insert(a.instance_id);
           if (mutable_type != nullptr) ++mutable_type->stats.affected;
           continue;
         }
@@ -668,7 +671,8 @@ Status ImpactStage::Run(CycleContext& ctx) {
         }
         for (auto& poll : a.remaining_polls) {
           PollingTask task;
-          task.instance_sql = instance_sql;
+          task.instance_sql = a.instance->sql;
+          task.instance_id = a.instance_id;
           task.type_id = a.type_id;
           task.query = std::move(poll);
           task.deadline = ctx.start + env_.options->cycle_deadline;
@@ -720,6 +724,7 @@ namespace {
 /// the first hit or failure, exactly like the serial loop.
 struct PollGroup {
   std::string instance_sql;
+  uint64_t instance_id = 0;
   uint64_t type_id = 0;
   std::vector<std::unique_ptr<sql::SelectStatement>> queries;
 
@@ -806,7 +811,7 @@ Status PollStage::Run(CycleContext& ctx) {
   // condemned instance is invalidated regardless, so polling any of its
   // queries would be pure DBMS waste.
   for (PollingTask& task : schedule.conservative) {
-    if (ctx.affected.insert(task.instance_sql).second) {
+    if (ctx.affected.insert(task.instance_id).second) {
       ++env_.stats->conservative_invalidations;
       ++ctx.report.conservative_invalidations;
     }
@@ -816,11 +821,12 @@ Status PollStage::Run(CycleContext& ctx) {
   // contiguously); instances the analysis already decided need no polls.
   std::vector<PollGroup> poll_groups;
   for (PollingTask& task : schedule.to_poll) {
-    if (ctx.affected.contains(task.instance_sql)) continue;
+    if (ctx.affected.contains(task.instance_id)) continue;
     if (poll_groups.empty() ||
         poll_groups.back().instance_sql != task.instance_sql) {
       poll_groups.emplace_back();
       poll_groups.back().instance_sql = task.instance_sql;
+      poll_groups.back().instance_id = task.instance_id;
       poll_groups.back().type_id = task.type_id;
     }
     poll_groups.back().queries.push_back(std::move(task.query));
@@ -978,14 +984,14 @@ Status PollStage::Run(CycleContext& ctx) {
       LogMessage(LogLevel::kWarning,
                  StrCat("polling query failed (", group.failure,
                         "); invalidating conservatively"));
-      ctx.affected.insert(group.instance_sql);
+      ctx.affected.insert(group.instance_id);
       ++env_.stats->conservative_invalidations;
       ++ctx.report.conservative_invalidations;
       continue;
     }
     if (group.poll_hit) {
       ++env_.stats->poll_hits;
-      ctx.affected.insert(group.instance_sql);
+      ctx.affected.insert(group.instance_id);
     }
   }
   for (MergedPoll& poll : merged_polls) {
@@ -1007,7 +1013,7 @@ Status PollStage::Run(CycleContext& ctx) {
       for (size_t g : poll.groups) {
         ++env_.stats->polls_issued;
         ++ctx.report.polls_issued;
-        ctx.affected.insert(poll_groups[g].instance_sql);
+        ctx.affected.insert(poll_groups[g].instance_id);
         ++env_.stats->conservative_invalidations;
         ++ctx.report.conservative_invalidations;
       }
@@ -1024,7 +1030,7 @@ Status PollStage::Run(CycleContext& ctx) {
       ctx.report.polls_issued += issued;
       if (hit_it != poll.hit_best.end()) {
         ++env_.stats->poll_hits;
-        ctx.affected.insert(poll_groups[g].instance_sql);
+        ctx.affected.insert(poll_groups[g].instance_id);
       }
     }
   }
@@ -1040,6 +1046,7 @@ namespace {
 
 /// A fully built eject message, ready for per-sink delivery.
 struct Eject {
+  PageId page = 0;
   std::string page_key;
   http::HttpRequest request;
 };
@@ -1058,18 +1065,26 @@ Status DeliverStage::Run(CycleContext& ctx) {
   // ---- Generate invalidation messages, parallel phase. ----
   ctx.report.affected_instances = ctx.affected.size();
 
-  // Serial: collect the deduplicated page list (ctx.affected is an
-  // ordered set, so the order is deterministic) and build each eject
-  // message — a normal HTTP request addressed at the page, carrying the
-  // Cache-Control: eject extension (Section 4.2.4).
+  // Serial: collect the deduplicated page list — instances by SQL text,
+  // each one's pages by cache key, so eject and retirement order do not
+  // depend on id assignment — and build each eject message, a normal
+  // HTTP request addressed at the page, carrying the Cache-Control:
+  // eject extension (Section 4.2.4). Every affected id is a live
+  // instance's, so its text is readable until it retires below.
+  const IdInterner& ids = env_.plane->ids();
+  std::vector<QueryId> affected(ctx.affected.begin(), ctx.affected.end());
+  std::sort(affected.begin(), affected.end(), [&](QueryId a, QueryId b) {
+    return ids.queries.Text(a) < ids.queries.Text(b);
+  });
   std::vector<Eject> ejects;
-  std::set<std::string> pages_done;
-  for (const std::string& instance_sql : ctx.affected) {
-    for (const std::string& page_key : env_.map->PagesForQuery(instance_sql)) {
-      if (!pages_done.insert(page_key).second) continue;
+  std::unordered_set<PageId> pages_done;
+  for (QueryId query : affected) {
+    for (PageId page : env_.map->PageIdsOfQuery(query)) {
+      if (!pages_done.insert(page).second) continue;
       Eject eject;
-      eject.page_key = page_key;
-      Result<http::PageId> id = http::PageId::FromCacheKey(page_key);
+      eject.page = page;
+      eject.page_key = ids.pages.Text(page);
+      Result<http::PageId> id = http::PageId::FromCacheKey(eject.page_key);
       if (id.ok()) {
         eject.request.method = http::Method::kGet;
         eject.request.host = id->host();
@@ -1079,7 +1094,7 @@ Status DeliverStage::Run(CycleContext& ctx) {
         eject.request.cookies = id->cookie_params();
       } else {
         LogMessage(LogLevel::kWarning,
-                   StrCat("unparseable cache key '", page_key,
+                   StrCat("unparseable cache key '", eject.page_key,
                           "': ", id.status().ToString()));
       }
       http::CacheControl cc;
@@ -1123,13 +1138,13 @@ Status DeliverStage::Run(CycleContext& ctx) {
   // for every instance that fed them), and instances left without pages
   // are unregistered.
   for (const Eject& eject : ejects) {
-    env_.map->RemovePage(eject.page_key);
+    env_.map->RemovePage(eject.page);
     ++ctx.report.pages_invalidated;
     ++env_.stats->pages_invalidated;
   }
-  for (const std::string& instance_sql : ctx.affected) {
-    if (env_.map->NumPagesForQuery(instance_sql) == 0) {
-      env_.plane->RetireInstance(instance_sql);
+  for (QueryId query : affected) {
+    if (env_.map->NumPagesForQuery(query) == 0) {
+      env_.plane->RetireInstance(query);
     }
   }
 

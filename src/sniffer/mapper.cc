@@ -33,10 +33,11 @@ size_t RequestToQueryMapper::Run() {
       if (it->receive_time > request.delivery_time) break;
       if (!it->is_select) continue;
       if (it->delivery_time > request.delivery_time) continue;
-      uint64_t before = map_->size();
-      map_->Add(it->sql, request.page_key, request.request_string,
-                request.delivery_time);
-      if (map_->size() > before) ++added;
+      if (map_->Add(it->sql, request.page_key, request.request_string,
+                    request.delivery_time)
+              .created) {
+        ++added;
+      }
     }
   }
   return added;

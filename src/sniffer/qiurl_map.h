@@ -3,14 +3,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/interner.h"
 #include "common/status.h"
 
 namespace cacheportal::sniffer {
@@ -25,9 +26,26 @@ struct QiUrlEntry {
   Micros timestamp = 0;
 };
 
+/// One row of the QI/URL map by id: what the invalidator's ingest scan
+/// reads, with no text copied.
+struct QiUrlRow {
+  uint64_t id = 0;
+  QueryId query = 0;
+  PageId page = 0;
+};
+
 /// The query-instance-to-URL map, produced by the sniffer and consumed by
 /// the invalidator. (query, page) pairs are deduplicated; re-adding an
 /// existing pair refreshes its timestamp only.
+///
+/// Rows are id -> id adjacency: SQL text and cache keys are interned
+/// once in an IdInterner the map shares with the invalidator's metadata
+/// plane (shared_ids()), each row holding one reference on its query id
+/// and one on its page id. Text is read only at the edges: the
+/// string-keyed accessors, the page keys delivery hands to the sinks,
+/// and Serialize. Reads that expose an order sort by text, never by id
+/// (pages of a query, queries of a page, the orphan feed), so nothing
+/// observable depends on id assignment.
 ///
 /// Thread-safe: an internal shared_mutex lets the sniffer Add while the
 /// invalidator's cycle reads (ReadSince / PagesForQuery / ...) or ejects
@@ -39,36 +57,46 @@ struct QiUrlEntry {
 /// waits on the row set.
 class QiUrlMap {
  public:
-  QiUrlMap() = default;
+  QiUrlMap();
 
   QiUrlMap(const QiUrlMap&) = delete;
   QiUrlMap& operator=(const QiUrlMap&) = delete;
   // Moves exist for Result<QiUrlMap> (Deserialize); they are NOT
   // concurrency-safe — move only before publishing the map to threads.
+  // The interner moves with the map.
   QiUrlMap(QiUrlMap&& other) noexcept;
   QiUrlMap& operator=(QiUrlMap&& other) noexcept;
 
-  /// Adds a mapping; returns the row ID (existing ID if deduplicated).
-  uint64_t Add(const std::string& query_sql, const std::string& page_key,
-               const std::string& request_string, Micros timestamp);
+  struct Added {
+    uint64_t id = 0;       // The row's ID (the existing one if deduplicated).
+    bool created = false;  // False: an existing row's timestamp refresh.
+  };
+  /// Adds a mapping.
+  Added Add(const std::string& query_sql, const std::string& page_key,
+            const std::string& request_string, Micros timestamp);
 
   /// Rows with id > `after_id`, for the invalidator's incremental scan.
   std::vector<QiUrlEntry> ReadSince(uint64_t after_id) const;
+  /// The same rows by id.
+  std::vector<QiUrlRow> ReadRowsSince(uint64_t after_id) const;
 
-  /// Cache keys of all pages built from `query_sql`.
+  /// Cache keys of all pages built from `query_sql`, in key order.
   std::vector<std::string> PagesForQuery(const std::string& query_sql) const;
+  /// The same pages by id, still in key order.
+  std::vector<PageId> PageIdsOfQuery(QueryId query) const;
 
-  /// Number of pages built from `query_sql`, without materializing the
-  /// keys — the invalidator asks this once per instance per cycle, so it
-  /// must not copy.
+  /// Number of pages built from a query, without materializing them —
+  /// the invalidator asks this once per instance per cycle.
   size_t NumPagesForQuery(const std::string& query_sql) const;
+  size_t NumPagesForQuery(QueryId query) const;
 
-  /// Query instances used to build page `page_key`.
+  /// Query instances used to build page `page_key`, in SQL order.
   std::vector<std::string> QueriesForPage(const std::string& page_key) const;
 
-  /// Drops all rows for `page_key` (the page left the cache). Returns the
-  /// number of rows removed.
+  /// Drops all rows for a page (it left the cache). Returns the number
+  /// of rows removed.
   size_t RemovePage(const std::string& page_key);
+  size_t RemovePage(PageId page);
 
   /// Distinct query instances present.
   size_t NumQueries() const;
@@ -90,12 +118,32 @@ class QiUrlMap {
   /// at most kMaxOrphans entries; past that it drops them and reports
   /// `complete = false`, and the consumer must check every query it
   /// tracks instead.
+  ///
+  /// The feed holds one reference on each id it names, and so does the
+  /// Orphans value handed out, until it is destroyed: an orphaned id
+  /// keeps its text, and is not reused, while anyone can still read it.
   struct Orphans {
-    std::vector<std::string> queries;
+    std::vector<QueryId> queries;
     bool complete = true;
+
+    Orphans() = default;
+    Orphans(Orphans&& other) noexcept;
+    Orphans& operator=(Orphans&& other) noexcept;
+    ~Orphans();
+    /// The queries' SQL text, in feed order.
+    std::vector<std::string> Texts() const;
+
+   private:
+    friend class QiUrlMap;
+    void ReleaseAll();
+    std::shared_ptr<IdInterner> ids_;
   };
   static constexpr size_t kMaxOrphans = 1 << 14;
   Orphans TakeOrphans();
+
+  /// The interner naming this map's ids; the metadata plane shares it.
+  IdInterner& ids() const { return *ids_; }
+  std::shared_ptr<IdInterner> shared_ids() const { return ids_; }
 
   /// Serializes all rows to the sniffer's line format (see log_io.h); the
   /// invalidator machine can persist its view of the map across restarts.
@@ -108,14 +156,43 @@ class QiUrlMap {
   static Result<QiUrlMap> Deserialize(const std::string& text);
 
  private:
+  struct Row {
+    uint64_t id = 0;
+    QueryId query = 0;
+    PageId page = 0;
+    bool live = true;  // False: removed, awaiting compaction.
+    Micros timestamp = 0;
+    std::string request_string;  // For diagnostics / policy discovery.
+  };
+
+  static uint64_t PairKey(QueryId query, PageId page) {
+    return (static_cast<uint64_t>(query) << 32) | page;
+  }
+  /// Appends a row and its adjacency; the caller holds mu_ and one
+  /// reference on each id for the row.
+  void AddRowLocked(Row row);
+  /// RemovePage with mu_ held exclusively.
+  size_t RemovePageLocked(PageId page);
+  /// First row with id > `after_id`. Caller holds mu_.
+  size_t UpperBoundLocked(uint64_t after_id) const;
+  /// Sorts ids by the text `interner` names them with.
+  static void SortByText(const TextInterner& interner,
+                         std::vector<uint32_t>* ids);
+
   mutable std::shared_mutex mu_;
   std::atomic<uint64_t> epoch_{0};
-  // id -> entry, ordered for ReadSince.
-  std::map<uint64_t, QiUrlEntry> entries_;
-  // (query, page) -> id for dedup.
-  std::map<std::pair<std::string, std::string>, uint64_t> pair_index_;
-  std::map<std::string, std::set<std::string>> by_query_;  // query -> pages.
-  std::map<std::string, std::set<std::string>> by_page_;   // page -> queries.
+  std::shared_ptr<IdInterner> ids_;
+  // The slot table: rows in ascending id order. Removal only clears
+  // `live`; the dead are swept out once they are the majority.
+  std::vector<Row> rows_;
+  size_t dead_rows_ = 0;
+  // PairKey -> index of its row in rows_, the dedup and refresh index.
+  std::unordered_map<uint64_t, size_t> pair_index_;
+  // Adjacency, indexed by id; an empty list is an absent query or page.
+  std::vector<std::vector<PageId>> pages_of_;
+  std::vector<std::vector<QueryId>> queries_of_;
+  size_t num_queries_ = 0;
+  size_t num_pages_ = 0;
   uint64_t next_id_ = 1;
   // Taken while holding mu_ (RemovePage), never the other way round.
   std::mutex orphans_mu_;

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
 #include <future>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/interner.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/strings.h"
@@ -265,6 +270,66 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
     // No .get(): destruction must still run everything already queued.
   }
   EXPECT_EQ(done.load(), 50);
+}
+
+// ---------------------------------------------------------------------
+// TextInterner
+// ---------------------------------------------------------------------
+
+TEST(TextInternerTest, MatchesAReferenceCountModel) {
+  // Seeded Acquire/Release/Reclaim over a small universe of texts, with
+  // lengths both inside and past the short-string buffer, so the index
+  // grows, wraps its probe runs and shifts entries back on erase.
+  std::vector<std::string> texts;
+  for (int i = 0; i < 48; ++i) {
+    texts.push_back(i % 2 == 0 ? StrCat("t", i)
+                               : StrCat("SELECT * FROM T WHERE x = ", i));
+  }
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    Random rng(seed);
+    TextInterner interner;
+    std::map<std::string, std::pair<uint32_t, uint32_t>> model;  // id, refs
+    std::vector<uint32_t> released;  // Freed since the last Reclaim.
+    for (int step = 0; step < 3000; ++step) {
+      const std::string& text = texts[rng.Uniform(texts.size())];
+      uint64_t op = rng.Uniform(10);
+      auto it = model.find(text);
+      if (op < 5) {
+        uint32_t id = interner.Acquire(text);
+        if (it != model.end()) {
+          EXPECT_EQ(id, it->second.first);
+          ++it->second.second;
+        } else {
+          // A fresh id is never one freed since the last Reclaim.
+          EXPECT_EQ(std::count(released.begin(), released.end(), id), 0);
+          for (const auto& [other, entry] : model) {
+            EXPECT_NE(entry.first, id) << other;
+          }
+          model[text] = {id, 1};
+        }
+      } else if (op < 9) {
+        if (it == model.end()) continue;
+        interner.Release(it->second.first);
+        if (--it->second.second == 0) {
+          released.push_back(it->second.first);
+          model.erase(it);
+        }
+      } else {
+        interner.Reclaim();
+        released.clear();
+      }
+      ASSERT_EQ(interner.live(), model.size());
+      for (const std::string& probe : texts) {
+        auto entry = model.find(probe);
+        std::optional<uint32_t> found = interner.Find(probe);
+        ASSERT_EQ(found.has_value(), entry != model.end()) << probe;
+        if (found.has_value()) {
+          EXPECT_EQ(*found, entry->second.first);
+          EXPECT_EQ(interner.Text(*found), probe);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

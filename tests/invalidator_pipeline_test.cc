@@ -440,7 +440,7 @@ TEST(StagePolicyTest, RungsResolveToKnobs) {
 struct StageFixture {
   explicit StageFixture(size_t shards = 2)
       : db(&clock),
-        plane(&db, shards, /*exact_strategy=*/true),
+        plane(&db, shards, /*exact_strategy=*/true, map.shared_ids()),
         info(&db),
         scheduler(/*max_polls_per_cycle=*/0) {}
 
@@ -462,6 +462,12 @@ struct StageFixture {
       return db.ExecuteSql(poll_sql);
     };
     return env;
+  }
+
+  /// Whether the instance `sql` names is in ctx.affected.
+  bool Affected(const CycleContext& ctx, const std::string& sql) const {
+    std::optional<QueryId> id = plane.ids().queries.Find(sql);
+    return id.has_value() && ctx.affected.contains(*id);
   }
 
   ManualClock clock;
@@ -568,8 +574,8 @@ TEST(ImpactStageTest, SplitsAffectedFromUnaffected) {
   ASSERT_TRUE(ImpactStage(fx.Env()).Run(ctx).ok());
 
   EXPECT_EQ(ctx.report.checks, 2u);
-  EXPECT_TRUE(ctx.affected.contains(hit));
-  EXPECT_FALSE(ctx.affected.contains(miss));
+  EXPECT_TRUE(fx.Affected(ctx, hit));
+  EXPECT_FALSE(fx.Affected(ctx, miss));
   EXPECT_EQ(fx.stats.affected_immediately, 1u);
   EXPECT_EQ(fx.stats.unaffected, 1u);
   EXPECT_TRUE(ctx.tasks.empty());
@@ -605,7 +611,7 @@ TEST(PollStageTest, SkipPollsCondemnsEveryUndecidedInstance) {
   ASSERT_TRUE(PollStage(env).Run(ctx).ok());
   EXPECT_EQ(ctx.report.polls_issued, 0u);
   EXPECT_EQ(ctx.report.conservative_invalidations, 1u);
-  EXPECT_TRUE(ctx.affected.contains(join_sql));
+  EXPECT_TRUE(fx.Affected(ctx, join_sql));
 }
 
 TEST(PollStageTest, PollsDecideUndecidedInstances) {
@@ -626,7 +632,7 @@ TEST(PollStageTest, PollsDecideUndecidedInstances) {
   ASSERT_TRUE(PollStage(fx.Env()).Run(ctx).ok());
   EXPECT_GE(ctx.report.polls_issued, 1u);
   // The poll hits: Eclipse sells for under 16000.
-  EXPECT_TRUE(ctx.affected.contains(join_sql));
+  EXPECT_TRUE(fx.Affected(ctx, join_sql));
   EXPECT_EQ(fx.stats.poll_hits, 1u);
 }
 
@@ -643,7 +649,7 @@ TEST(DeliverStageTest, HandBuiltAffectedSetBecomesEjects) {
 
   // Hand-built context: only the affected set matters to delivery.
   CycleContext ctx;
-  ctx.affected.insert(sql_text);
+  ctx.affected.insert(fx.plane.FindInstance(sql_text)->instance_id);
   ASSERT_TRUE(DeliverStage(fx.Env()).Run(ctx).ok());
 
   EXPECT_EQ(ctx.report.affected_instances, 1u);
@@ -834,6 +840,91 @@ TEST_F(RetirementFeedTest, RestoreForcesAFullSweep) {
   map_.TakeOrphans();  // Lost: e.g. taken by a process that died.
   ASSERT_TRUE(inv_->Restore(checkpoint).ok());
   EXPECT_FALSE(Cycle().contains(sqls_[5]));
+}
+
+TEST_F(RetirementFeedTest, RetiredInstanceRebuiltBeforeTheNextCycleKeepsItsId) {
+  CacheAll();
+  Cycle();
+  QueryId id = *map_.ids().queries.Find(sqls_[5]);
+  // Only sqls_[5] (price < 6000) reads a 5500 car: delivery ejects its
+  // page and retires it.
+  db_.ExecuteSql("INSERT INTO Car VALUES ('Kia', 'Rio', 5500)").value();
+  EXPECT_FALSE(Cycle().contains(sqls_[5]));
+  // The orphan feed still names the id, so the page rebuilt before the
+  // next cycle maps to it again; that cycle re-registers the instance
+  // under it, and the feed's re-check keeps it.
+  map_.Add(sqls_[5], Page(5), "/r", 2);
+  EXPECT_EQ(*map_.ids().queries.Find(sqls_[5]), id);
+  EXPECT_TRUE(Cycle().contains(sqls_[5]));
+  const QueryInstance* instance = inv_->metadata().FindInstance(sqls_[5]);
+  ASSERT_NE(instance, nullptr);
+  EXPECT_EQ(instance->instance_id, id);
+  // Re-indexed too: the next matching update ejects the page again.
+  uint64_t ejected = inv_->stats().pages_invalidated;
+  db_.ExecuteSql("INSERT INTO Car VALUES ('Kia', 'Rio', 5600)").value();
+  EXPECT_FALSE(Cycle().contains(sqls_[5]));
+  EXPECT_EQ(inv_->stats().pages_invalidated, ejected + 1);
+}
+
+TEST_F(RetirementFeedTest, RestoreSweepFreesTheIdsARebuiltMapLacks) {
+  CacheAll();
+  Cycle();
+  std::string checkpoint = inv_->Checkpoint();
+  // Restore registers all six recovered instances in the rebuilt map's
+  // interner; the sweep retires the three without pages, and nothing
+  // else references their ids, so their text goes with them.
+  sniffer::QiUrlMap rebuilt;
+  for (size_t i = 0; i < 3; ++i) rebuilt.Add(sqls_[i], Page(i), "/r", 2);
+  Invalidator restored(&db_, &rebuilt, &clock_);
+  ASSERT_TRUE(restored.Restore(checkpoint).ok());
+  restored.ApplyPendingRestore();
+  EXPECT_EQ(restored.metadata().NumInstances(), 6u);
+  EXPECT_EQ(rebuilt.ids().queries.live(), 6u);
+  ASSERT_TRUE(restored.RunCycle().ok());
+  EXPECT_EQ(restored.metadata().NumInstances(), 3u);
+  EXPECT_EQ(rebuilt.ids().queries.live(), 3u);
+  for (size_t i = 0; i < sqls_.size(); ++i) {
+    EXPECT_EQ(rebuilt.ids().queries.Find(sqls_[i]).has_value(), i < 3) << i;
+  }
+}
+
+TEST(MetadataPlaneIdTest, RetireThenReRegisterWithinACycleMintsAFreshId) {
+  ManualClock clock;
+  db::Database db(&clock);
+  CreateCarTables(&db);
+  sniffer::QiUrlMap map;
+  MetadataPlane plane(&db, 2, /*exact_strategy=*/true, map.shared_ids());
+  const std::string sql = "SELECT * FROM Car WHERE price < 1000";
+  Result<const QueryInstance*> first = plane.RegisterInstance(sql);
+  ASSERT_TRUE(first.ok());
+  uint64_t old_id = (*first)->instance_id;
+  uint64_t type_id = (*first)->type_id;
+  plane.RetireInstance(sql);
+  EXPECT_EQ(plane.FindInstance(sql), nullptr);
+  // No map row and no instance names it: the text is freed.
+  EXPECT_FALSE(plane.ids().queries.Find(sql).has_value());
+
+  // Within the cycle (no Reclaim yet) the freed id is not rebound: the
+  // same SQL comes back under a fresh one, indexed under it alone.
+  Result<const QueryInstance*> again = plane.RegisterInstance(sql);
+  ASSERT_TRUE(again.ok());
+  uint64_t new_id = (*again)->instance_id;
+  EXPECT_NE(new_id, old_id);
+  plane.WithShardOfType(type_id, [&](MetadataPlane::Shard& shard) {
+    EXPECT_TRUE(shard.bind_index.ContainsInstance(new_id));
+    EXPECT_FALSE(shard.bind_index.ContainsInstance(old_id));
+    EXPECT_EQ(shard.bind_index.IndexedCountOfType(type_id), 1u);
+  });
+
+  // After the next cycle's Reclaim the old id may name other text; the
+  // re-registered instance is unaffected.
+  plane.ids().Reclaim();
+  Result<const QueryInstance*> other =
+      plane.RegisterInstance("SELECT * FROM Car WHERE price < 2000");
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ((*other)->instance_id, old_id);
+  EXPECT_EQ(plane.FindInstance(sql)->instance_id, new_id);
+  EXPECT_EQ(plane.NumInstances(), 2u);
 }
 
 // ---------------------------------------------------------------------------

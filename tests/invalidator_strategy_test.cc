@@ -599,7 +599,7 @@ TEST(ExactTierAtScaleTest, EjectsEqualTheOracleAndCountersEqualTheFullWalk) {
 struct StageFixture {
   StageFixture()
       : db(&clock),
-        plane(&db, 2, /*exact_strategy=*/true),
+        plane(&db, 2, /*exact_strategy=*/true, map.shared_ids()),
         info(&db),
         scheduler(/*max_polls_per_cycle=*/0) {}
 
@@ -621,6 +621,12 @@ struct StageFixture {
       return db.ExecuteSql(poll_sql);
     };
     return env;
+  }
+
+  /// Whether the instance `sql` names is in ctx.affected.
+  bool Affected(const CycleContext& ctx, const std::string& sql) const {
+    std::optional<QueryId> id = plane.ids().queries.Find(sql);
+    return id.has_value() && ctx.affected.contains(*id);
   }
 
   ManualClock clock;
@@ -667,8 +673,8 @@ TEST(StrategyRungTest, ConservativeRungNeverCondemnsExactInstances) {
   ASSERT_TRUE(PollStage(fx.Env()).Run(ctx).ok());
   // The join instance is condemned (skip_polls); the exact instance's
   // precise "unaffected" verdict survives the rung untouched.
-  EXPECT_TRUE(ctx.affected.contains(join_sql));
-  EXPECT_FALSE(ctx.affected.contains(exact_sql));
+  EXPECT_TRUE(fx.Affected(ctx, join_sql));
+  EXPECT_FALSE(fx.Affected(ctx, exact_sql));
   EXPECT_EQ(ctx.report.polls_issued, 0u);
 }
 
@@ -691,7 +697,7 @@ TEST(StrategyRungTest, EmergencyFlushOverridesExactVerdicts) {
   ctx.policy = MakeStagePolicy(DegradationMode::kEmergency, fx.options);
   EXPECT_FALSE(ctx.policy.exact_exempt);
   ASSERT_TRUE(ImpactStage(fx.Env()).Run(ctx).ok());
-  EXPECT_TRUE(ctx.affected.contains(exact_sql));
+  EXPECT_TRUE(fx.Affected(ctx, exact_sql));
 }
 
 }  // namespace

@@ -171,7 +171,7 @@ TEST(QiUrlMapIoTest, DeserializePreservesRowIdsAndCursors) {
 
   // The ID counter restored too: a new row extends the sequence instead
   // of colliding with (or shadowing) a consumed ID.
-  uint64_t next = restored->Add("SELECT 4", "page-4", "/r", 400);
+  uint64_t next = restored->Add("SELECT 4", "page-4", "/r", 400).id;
   EXPECT_EQ(next, 4u);
   EXPECT_EQ(restored->ReadSince(3).size(), 1u);
 }

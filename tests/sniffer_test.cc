@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/clock.h"
+#include "common/random.h"
+#include "common/strings.h"
 #include "db/database.h"
 #include "server/jdbc.h"
 #include "sniffer/mapper.h"
@@ -9,6 +17,7 @@
 #include "sniffer/query_logger.h"
 #include "sniffer/request_log.h"
 #include "sniffer/request_logger.h"
+#include "qiurl_map_oracle.h"
 
 namespace cacheportal::sniffer {
 namespace {
@@ -259,9 +268,11 @@ TEST(QiUrlMapTest, AddAndLookups) {
 
 TEST(QiUrlMapTest, DeduplicatesPairs) {
   QiUrlMap map;
-  uint64_t a = map.Add("q", "p", "/r", 1);
-  uint64_t b = map.Add("q", "p", "/r", 2);
-  EXPECT_EQ(a, b);
+  QiUrlMap::Added a = map.Add("q", "p", "/r", 1);
+  QiUrlMap::Added b = map.Add("q", "p", "/r", 2);
+  EXPECT_TRUE(a.created);
+  EXPECT_FALSE(b.created);
+  EXPECT_EQ(a.id, b.id);
   EXPECT_EQ(map.size(), 1u);
 }
 
@@ -295,7 +306,7 @@ TEST(QiUrlMapTest, OrphanFeedReportsLastPageRemovals) {
   map.RemovePage("p1");  // q2 loses its only page; q1 keeps p2.
   QiUrlMap::Orphans orphans = map.TakeOrphans();
   EXPECT_TRUE(orphans.complete);
-  EXPECT_EQ(orphans.queries, std::vector<std::string>{"q2"});
+  EXPECT_EQ(orphans.Texts(), std::vector<std::string>{"q2"});
   // Taking drains the feed.
   EXPECT_TRUE(map.TakeOrphans().queries.empty());
 
@@ -304,7 +315,7 @@ TEST(QiUrlMapTest, OrphanFeedReportsLastPageRemovals) {
   map.RemovePage("p2");
   map.Add("q1", "p3", "/r", 2);
   map.RemovePage("p3");
-  EXPECT_EQ(map.TakeOrphans().queries,
+  EXPECT_EQ(map.TakeOrphans().Texts(),
             (std::vector<std::string>{"q1", "q1"}));
   // Removing an unknown page orphans nothing.
   EXPECT_EQ(map.RemovePage("nope"), 0u);
@@ -334,13 +345,198 @@ TEST(QiUrlMapTest, MovesCarryTheOrphanFeed) {
   source.Add("q2", "p2", "/r", 1);
   source.RemovePage("p1");
   QiUrlMap moved(std::move(source));
-  EXPECT_EQ(moved.TakeOrphans().queries, std::vector<std::string>{"q1"});
+  EXPECT_EQ(moved.TakeOrphans().Texts(), std::vector<std::string>{"q1"});
 
   moved.RemovePage("p2");
   QiUrlMap assigned;
   assigned = std::move(moved);
-  EXPECT_EQ(assigned.TakeOrphans().queries, std::vector<std::string>{"q2"});
+  EXPECT_EQ(assigned.TakeOrphans().Texts(), std::vector<std::string>{"q2"});
   EXPECT_TRUE(assigned.TakeOrphans().queries.empty());
+}
+
+// ---------------------------------------------------------------------
+// The id-keyed map against the string-keyed one it replaced
+// ---------------------------------------------------------------------
+
+/// Every read both maps answer, compared field by field.
+void ExpectSameReads(const QiUrlMap& map, const testing::OracleQiUrlMap& oracle,
+                     const std::vector<std::string>& queries,
+                     const std::vector<std::string>& pages) {
+  EXPECT_EQ(map.size(), oracle.size());
+  EXPECT_EQ(map.NumQueries(), oracle.NumQueries());
+  EXPECT_EQ(map.NumPages(), oracle.NumPages());
+  EXPECT_EQ(map.LastId(), oracle.LastId());
+  EXPECT_EQ(map.epoch(), oracle.epoch());
+  for (const std::string& query : queries) {
+    EXPECT_EQ(map.PagesForQuery(query), oracle.PagesForQuery(query)) << query;
+    EXPECT_EQ(map.NumPagesForQuery(query), oracle.NumPagesForQuery(query));
+  }
+  for (const std::string& page : pages) {
+    EXPECT_EQ(map.QueriesForPage(page), oracle.QueriesForPage(page)) << page;
+  }
+}
+
+void ExpectSameEntries(const std::vector<QiUrlEntry>& got,
+                       const std::vector<QiUrlEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id);
+    EXPECT_EQ(got[i].query_sql, want[i].query_sql);
+    EXPECT_EQ(got[i].page_key, want[i].page_key);
+    EXPECT_EQ(got[i].request_string, want[i].request_string);
+    EXPECT_EQ(got[i].timestamp, want[i].timestamp);
+  }
+}
+
+TEST(QiUrlMapDifferentialTest, SeededOperationsMatchTheStringKeyedOracle) {
+  // Texts chosen so that id order and text order disagree: ids are
+  // minted in first-use order, which the seeds shuffle.
+  std::vector<std::string> queries;
+  for (int i = 0; i < 12; ++i) {
+    queries.push_back(StrCat("SELECT * FROM T WHERE x = ", (i * 7) % 12));
+  }
+  std::vector<std::string> pages;
+  for (int i = 0; i < 15; ++i) pages.push_back(StrCat("shop/p?k=", (i * 4) % 15, "##"));
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Random rng(seed);
+    QiUrlMap map;
+    testing::OracleQiUrlMap oracle;
+    for (int step = 0; step < 300; ++step) {
+      uint64_t op = rng.Uniform(100);
+      if (op < 50) {
+        const std::string& query = queries[rng.Uniform(queries.size())];
+        const std::string& page = pages[rng.Uniform(pages.size())];
+        std::string request = StrCat("/r?step=", step);
+        size_t before = oracle.size();
+        uint64_t want = oracle.Add(query, page, request, step);
+        QiUrlMap::Added got = map.Add(query, page, request, step);
+        EXPECT_EQ(got.id, want);
+        EXPECT_EQ(got.created, oracle.size() > before);
+      } else if (op < 75) {
+        const std::string& page = pages[rng.Uniform(pages.size())];
+        EXPECT_EQ(map.RemovePage(page), oracle.RemovePage(page));
+      } else if (op < 85) {
+        QiUrlMap::Orphans got = map.TakeOrphans();
+        testing::OracleQiUrlMap::Orphans want = oracle.TakeOrphans();
+        EXPECT_EQ(got.Texts(), want.queries);
+        EXPECT_EQ(got.complete, want.complete);
+      } else if (op < 95) {
+        uint64_t after = rng.Uniform(oracle.LastId() + 2);
+        ExpectSameEntries(map.ReadSince(after), oracle.ReadSince(after));
+        std::vector<QiUrlRow> rows = map.ReadRowsSince(after);
+        std::vector<QiUrlEntry> entries = oracle.ReadSince(after);
+        ASSERT_EQ(rows.size(), entries.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          EXPECT_EQ(rows[i].id, entries[i].id);
+          EXPECT_EQ(map.ids().queries.Text(rows[i].query),
+                    entries[i].query_sql);
+          EXPECT_EQ(map.ids().pages.Text(rows[i].page), entries[i].page_key);
+        }
+      } else {
+        std::string bytes = map.Serialize();
+        ASSERT_EQ(bytes, oracle.Serialize());
+        Result<QiUrlMap> restored = QiUrlMap::Deserialize(bytes);
+        Result<testing::OracleQiUrlMap> restored_oracle =
+            testing::OracleQiUrlMap::Deserialize(bytes);
+        ASSERT_TRUE(restored.ok());
+        ASSERT_TRUE(restored_oracle.ok());
+        map = std::move(*restored);
+        oracle = std::move(*restored_oracle);
+        EXPECT_EQ(map.Serialize(), bytes);
+      }
+      ExpectSameReads(map, oracle, queries, pages);
+    }
+  }
+}
+
+TEST(QiUrlMapConcurrencyTest, AddRacesRemovePage) {
+  // The sniffer adds while the cycle ejects and drains the orphan feed:
+  // the row set stays consistent both ways round, every orphan keeps
+  // its text while handed out, and once everything is removed no id is
+  // left referenced.
+  constexpr int kPages = 32;
+  const auto query = [](int i) { return StrCat("SELECT * FROM T WHERE x = ", i % 8); };
+  const auto page = [](int i) { return StrCat("shop/p?k=", i, "##"); };
+  QiUrlMap map;
+  std::atomic<bool> done{false};
+  std::thread adder([&] {
+    for (int round = 0; round < 100; ++round) {
+      for (int i = 0; i < kPages; ++i) map.Add(query(i), page(i), "/r", round);
+    }
+    done = true;
+  });
+  size_t orphans_seen = 0;
+  while (!done) {
+    for (int i = 0; i < kPages; i += 3) map.RemovePage(page(i));
+    QiUrlMap::Orphans orphans = map.TakeOrphans();
+    for (const std::string& text : orphans.Texts()) {
+      EXPECT_EQ(text.rfind("SELECT * FROM T WHERE x = ", 0), 0u) << text;
+      ++orphans_seen;
+    }
+  }
+  adder.join();
+  size_t rows = 0;
+  for (int q = 0; q < 8; ++q) {
+    for (const std::string& key : map.PagesForQuery(query(q))) {
+      ++rows;
+      std::vector<std::string> back = map.QueriesForPage(key);
+      EXPECT_NE(std::find(back.begin(), back.end(), query(q)), back.end());
+    }
+  }
+  EXPECT_EQ(rows, map.size());
+  for (int i = 0; i < kPages; ++i) map.RemovePage(page(i));
+  map.TakeOrphans();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.ids().queries.live(), 0u);
+  EXPECT_EQ(map.ids().pages.live(), 0u);
+  (void)orphans_seen;
+}
+
+// ---------------------------------------------------------------------
+// Id lifetime
+// ---------------------------------------------------------------------
+
+TEST(QiUrlMapIdTest, TextIsFreedWithTheLastReferenceAndSlotsAreReclaimed) {
+  QiUrlMap map;
+  IdInterner& ids = map.ids();
+  map.Add("q1", "p1", "/r", 1);
+  map.Add("q1", "p2", "/r", 1);
+  QueryId q1 = *ids.queries.Find("q1");
+  EXPECT_EQ(ids.queries.live(), 1u);
+  EXPECT_EQ(ids.pages.live(), 2u);
+  map.RemovePage("p1");
+  EXPECT_EQ(ids.pages.live(), 1u);  // p1's text is gone; q1 keeps p2.
+  EXPECT_FALSE(ids.pages.Find("p1").has_value());
+  map.RemovePage("p2");
+  {
+    // The orphan feed still names q1: its text stays readable.
+    QiUrlMap::Orphans orphans = map.TakeOrphans();
+    ASSERT_EQ(orphans.queries, std::vector<QueryId>{q1});
+    ids.Reclaim();
+    map.Add("q2", "p3", "/r", 2);
+    EXPECT_NE(*ids.queries.Find("q2"), q1);  // Not rebound while named.
+    EXPECT_EQ(orphans.Texts(), std::vector<std::string>{"q1"});
+  }
+  // The last reference went with `orphans`.
+  EXPECT_FALSE(ids.queries.Find("q1").has_value());
+  EXPECT_EQ(ids.queries.live(), 1u);
+
+  // Churn through many distinct texts: with the cycle's Reclaim between
+  // rounds, the slot tables follow the live ids, not the ids ever seen.
+  size_t query_slots = ids.queries.capacity();
+  size_t page_slots = ids.pages.capacity();
+  for (int i = 0; i < 1000; ++i) {
+    std::string page = StrCat("churn-", i);
+    map.Add(StrCat("SELECT ", i), page, "/r", 3);
+    map.RemovePage(page);
+    map.TakeOrphans();
+    ids.Reclaim();
+  }
+  EXPECT_LE(ids.queries.capacity(), query_slots + 1);
+  EXPECT_LE(ids.pages.capacity(), page_slots + 1);
+  EXPECT_EQ(ids.queries.live(), 1u);
+  EXPECT_EQ(ids.pages.live(), 1u);
 }
 
 // ---------------------------------------------------------------------
