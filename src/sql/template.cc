@@ -32,6 +32,18 @@ ExpressionPtr Parameterize(const Expression& expr, int* next_ordinal,
       return expr.Clone();
     case ExprKind::kUnary: {
       const auto& u = static_cast<const UnaryExpr&>(expr);
+      // A negative number is one literal to whoever wrote it: `c = -1`
+      // binds -1 into the type of `c = 1`, the value unary minus
+      // evaluates to. `- col` and `-(1 + 2)` stay structural.
+      if (u.op() == UnaryOp::kNeg &&
+          u.operand().kind() == ExprKind::kLiteral) {
+        const Value& v = static_cast<const LiteralExpr&>(u.operand()).value();
+        if (v.is_int() || v.is_double()) {
+          bindings->push_back(v.is_int() ? Value::Int(-v.AsInt())
+                                         : Value::Double(-v.AsDouble()));
+          return std::make_unique<ParameterExpr>((*next_ordinal)++);
+        }
+      }
       return std::make_unique<UnaryExpr>(
           u.op(), Parameterize(u.operand(), next_ordinal, bindings));
     }

@@ -819,6 +819,35 @@ TEST_F(JoinClosureTest, TwoTableBatchProbesBothAnchors) {
   EXPECT_TRUE(sink.invalidated.empty());
 }
 
+// A page for group -1 is an instance of the heavy type of group 1 (the
+// negative literal binds whole), so a two-table batch of another group
+// probes it away like any other: one type, and no poll round trip.
+TEST_F(JoinClosureTest, NegativeGroupPageAddsNoPollRoundTrip) {
+  sniffer::QiUrlMap map;
+  RecordingSink sink;
+  Invalidator inv(&db_, &map, &clock_, {});
+  inv.AddSink(&sink);
+  const std::string heavy =
+      "SELECT SmallT.id FROM SmallT, LargeT WHERE SmallT.grp = LargeT.grp "
+      "AND SmallT.grp = ";
+  map.Add(heavy + "1", "shop/heavy?grp=1##", "/r", 0);
+  map.Add(heavy + "-1", "shop/heavy?grp=-1##", "/r", 0);
+  ASSERT_TRUE(inv.RunCycle().ok());  // Registers both instances.
+  EXPECT_EQ(inv.metadata().NumTypes(), 1u);
+  const uint64_t trips = inv.matcher_stats().poll_round_trips;
+  EXPECT_EQ(ProbesOfCycle(db_, inv, sink,
+                          {"INSERT INTO SmallT VALUES (1, 5, 0)",
+                           "INSERT INTO LargeT VALUES (2, 5, 0)"}),
+            2u);
+  EXPECT_TRUE(sink.invalidated.empty());
+  EXPECT_EQ(inv.matcher_stats().poll_round_trips, trips);
+  // A batch of group -1 ejects that page alone.
+  ProbesOfCycle(db_, inv, sink,
+                {"INSERT INTO SmallT VALUES (3, -1, 0)",
+                 "INSERT INTO LargeT VALUES (4, -1, 0)"});
+  EXPECT_EQ(sink.invalidated, (std::set<std::string>{"shop/heavy?grp=-1##"}));
+}
+
 // The guard stays where the decomposition does not reach: three changed
 // FROM entries, and a changed table that FROM lists twice. The type is
 // ejected unpolled, for a batch of another group, without a probe.

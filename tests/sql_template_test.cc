@@ -51,6 +51,35 @@ TEST(TemplateTest, NullAndBoolLiteralsStayStructural) {
   EXPECT_EQ(t.bindings.size(), 1u);
 }
 
+TEST(TemplateTest, NegativeNumbersBindWhole) {
+  // `grp = -1` is the type of `grp = 1`, binding -1: one type the
+  // matcher can anchor, not a second one it cannot.
+  QueryTemplate neg = Extract("SELECT * FROM SmallT WHERE grp = -1");
+  QueryTemplate pos = Extract("SELECT * FROM SmallT WHERE grp = 1");
+  EXPECT_EQ(neg.type_id, pos.type_id);
+  EXPECT_EQ(neg.canonical_text, "SELECT * FROM SmallT WHERE grp = $1");
+  ASSERT_EQ(neg.bindings.size(), 1u);
+  ASSERT_EQ(pos.bindings.size(), 1u);
+  EXPECT_EQ(neg.bindings[0], Value::Int(-1));
+  EXPECT_EQ(pos.bindings[0], Value::Int(1));
+  QueryTemplate dbl = Extract("SELECT * FROM Car WHERE price BETWEEN -2.5 AND 3");
+  EXPECT_EQ(dbl.type_id,
+            Extract("SELECT * FROM Car WHERE price BETWEEN 2.5 AND 3").type_id);
+  ASSERT_EQ(dbl.bindings.size(), 2u);
+  EXPECT_EQ(dbl.bindings[0], Value::Double(-2.5));
+}
+
+TEST(TemplateTest, UnaryMinusOverNonLiteralsStaysStructural) {
+  QueryTemplate col = Extract("SELECT * FROM R WHERE a = - b");
+  EXPECT_TRUE(col.bindings.empty());
+  EXPECT_NE(col.type_id, Extract("SELECT * FROM R WHERE a = b").type_id);
+  QueryTemplate sum = Extract("SELECT * FROM R WHERE a = -(1 + 2)");
+  ASSERT_EQ(sum.bindings.size(), 2u);
+  EXPECT_EQ(sum.bindings[0], Value::Int(1));
+  EXPECT_EQ(sum.bindings[1], Value::Int(2));
+  EXPECT_NE(sum.type_id, Extract("SELECT * FROM R WHERE a = 1 + 2").type_id);
+}
+
 TEST(TemplateTest, ExistingParametersRenumbered) {
   QueryTemplate t = Extract("SELECT * FROM R WHERE a > $5 AND b < 7");
   EXPECT_EQ(t.canonical_text, "SELECT * FROM R WHERE a > $1 AND b < $2");
