@@ -1,7 +1,7 @@
 #include "core/reliable_delivery.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/strings.h"
@@ -10,9 +10,7 @@ namespace cacheportal::core {
 
 namespace {
 
-// v1 checkpoints predate circuit breakers; RestoreState accepts both.
-constexpr char kQueueCheckpointMagicV1[] = "delivery-queue 1";
-constexpr char kQueueCheckpointMagicV2[] = "delivery-queue 2";
+constexpr char kQueueCheckpointMagic[] = "delivery-queue 2";
 
 const char* BreakerName(ReliableDeliveryQueue::BreakerState state) {
   switch (state) {
@@ -507,10 +505,12 @@ const ReliableDeliveryQueue::SinkState* ReliableDeliveryQueue::FindSink(
 
 std::string ReliableDeliveryQueue::CheckpointState() const {
   // Message payloads are serialized HTTP (they contain CRLFs), so key
-  // and wire travel as length-prefixed raw blocks after each msg line.
-  // v2 adds the breaker fields to the sink line; v1 checkpoints (without
-  // them) still restore.
-  std::string out = StrCat(kQueueCheckpointMagicV2, "\n");
+  // and wire travel as length-prefixed raw blocks after each msg line:
+  //   delivery-queue 2
+  //   sink QUARANTINED BREAKER FLUSH_PENDING QSIZE NAMELEN NAME
+  //   msg KEYLEN WIRELEN \n <key><wire> \n        (QSIZE per sink)
+  //   end
+  std::string out = StrCat(kQueueCheckpointMagic, "\n");
   for (const SinkState& state : sinks_) {
     out += StrCat("sink ", state.quarantined ? 1 : 0, " ",
                   static_cast<int>(state.breaker), " ",
@@ -532,93 +532,102 @@ std::string ReliableDeliveryQueue::CheckpointState() const {
 
 Status ReliableDeliveryQueue::RestoreState(const std::string& state_bytes) {
   size_t pos = 0;
-  auto next_line = [&state_bytes, &pos]() -> std::optional<std::string> {
-    if (pos >= state_bytes.size()) return std::nullopt;
+  // Every line ends in '\n', so pos never passes state_bytes.size().
+  auto next_line = [&state_bytes, &pos]() -> std::optional<std::string_view> {
     size_t nl = state_bytes.find('\n', pos);
-    if (nl == std::string::npos) nl = state_bytes.size();
-    std::string line = state_bytes.substr(pos, nl - pos);
+    if (nl == std::string::npos) return std::nullopt;
+    std::string_view line(state_bytes.data() + pos, nl - pos);
     pos = nl + 1;
     return line;
   };
+  auto corrupt = [](std::string_view line) {
+    return Status::ParseError(
+        StrCat("corrupt record in delivery checkpoint: ", line));
+  };
 
-  std::optional<std::string> magic = next_line();
-  if (!magic.has_value() || (*magic != kQueueCheckpointMagicV1 &&
-                             *magic != kQueueCheckpointMagicV2)) {
+  std::optional<std::string_view> magic = next_line();
+  if (!magic.has_value() || *magic != kQueueCheckpointMagic) {
     return Status::ParseError("not a delivery-queue checkpoint");
   }
-  const bool v2 = *magic == kQueueCheckpointMagicV2;
-  // v1 sink line:  sink <quarantined> <qsize> <namelen> <name>
-  // v2 sink line:  sink <quarantined> <breaker> <flush_pending> <qsize>
-  //                <namelen> <name>
-  const size_t sink_fields = v2 ? 6 : 4;
+  // Staged: nothing changes until the whole blob validates, so a corrupt
+  // record late in the blob cannot leave earlier sinks half-restored.
+  struct StagedSink {
+    SinkState* state = nullptr;
+    bool quarantined = false;
+    bool breaker_open = false;
+    bool recovery_flush_pending = false;
+    uint64_t declared = 0;  // QSIZE: msg records that must follow.
+    std::deque<PendingMessage> queue;
+  };
+  std::vector<StagedSink> staged;
+  // True once the last staged sink holds every message it declared.
+  auto complete = [&staged] {
+    return staged.empty() ||
+           staged.back().queue.size() == staged.back().declared;
+  };
   Micros now = clock_->NowMicros();
-  SinkState* current = nullptr;
   bool saw_end = false;
-  while (std::optional<std::string> line = next_line()) {
-    std::vector<std::string> fields = StrSplit(*line, ' ');
-    if (fields.empty() || fields[0].empty()) continue;
-    if (fields[0] == "end") {
+  while (std::optional<std::string_view> line = next_line()) {
+    if (*line == "end") {
       saw_end = true;
       break;
     }
-    if (fields[0] == "sink" && fields.size() >= sink_fields + 1) {
-      size_t name_length =
-          std::strtoull(fields[sink_fields - 1].c_str(), nullptr, 10);
+    std::vector<std::string> fields = StrSplit(*line, ' ');
+    if (fields[0] == "sink" && fields.size() >= 7) {
+      if (!complete()) return corrupt(*line);
+      uint64_t v[5];
+      for (size_t i = 0; i < 5; ++i) {
+        Result<uint64_t> value = ParseUint64(fields[i + 1]);
+        if (!value.ok()) return corrupt(*line);
+        v[i] = *value;
+      }
       // The name is everything after the last counted space (it may
       // itself contain spaces); the persisted length validates the slice.
       size_t name_offset = 0;
-      for (size_t i = 0; i < sink_fields; ++i) {
-        name_offset += fields[i].size() + 1;
+      for (size_t i = 0; i < 6; ++i) name_offset += fields[i].size() + 1;
+      if (v[0] > 1 || v[1] > 2 || v[2] > 1 ||
+          v[4] != line->size() - name_offset) {
+        return corrupt(*line);
       }
-      if (name_offset + name_length != line->size()) {
-        return Status::ParseError(
-            StrCat("corrupt sink record in delivery checkpoint: ", *line));
-      }
-      std::string name = line->substr(name_offset);
-      current = FindSink(name);
-      if (current == nullptr) {
+      std::string name(line->substr(name_offset));
+      SinkState* state = FindSink(name);
+      if (state == nullptr) {
         return Status::InvalidArgument(
             StrCat("delivery checkpoint references unknown sink '", name,
                    "'; re-add sinks with their original names before "
                    "restoring"));
       }
-      current->quarantined = fields[1] == "1";
-      current->queue.clear();
-      // Breaker state rebases into the new process's clock: a breaker
-      // that was open (or mid-probe) restarts a full cooldown now, and
-      // the failure streak resets — but a pending recovery flush is
-      // durable, since the dropped ejects are gone either way.
-      current->consecutive_failures = 0;
-      if (v2) {
-        int breaker = std::atoi(fields[2].c_str());
-        current->breaker = breaker == 0 ? BreakerState::kClosed
-                                        : BreakerState::kOpen;
-        current->breaker_opened_at = now;
-        current->recovery_flush_pending = fields[3] == "1";
-      } else {
-        current->breaker = BreakerState::kClosed;
-        current->breaker_opened_at = 0;
-        current->recovery_flush_pending = false;
+      for (const StagedSink& other : staged) {
+        if (other.state == state) return corrupt(*line);
       }
+      StagedSink sink;
+      sink.state = state;
+      sink.quarantined = v[0] == 1;
+      sink.breaker_open = v[1] != 0;  // Open or half-open when written.
+      sink.recovery_flush_pending = v[2] == 1;
+      sink.declared = v[3];
+      staged.push_back(std::move(sink));
     } else if (fields[0] == "msg" && fields.size() == 3) {
-      if (current == nullptr) {
-        return Status::ParseError("msg record before any sink record");
-      }
-      size_t key_length = std::strtoull(fields[1].c_str(), nullptr, 10);
-      size_t wire_length = std::strtoull(fields[2].c_str(), nullptr, 10);
-      if (pos + key_length + wire_length > state_bytes.size()) {
-        return Status::ParseError("truncated delivery checkpoint");
+      if (staged.empty() || complete()) return corrupt(*line);
+      Result<uint64_t> key_length = ParseUint64(fields[1]);
+      Result<uint64_t> wire_length = ParseUint64(fields[2]);
+      // Written so that lengths near 2^64 cannot wrap past the bound.
+      const size_t left = state_bytes.size() - pos;
+      if (!key_length.ok() || !wire_length.ok() || *key_length > left ||
+          *wire_length >= left - *key_length ||
+          state_bytes[pos + *key_length + *wire_length] != '\n') {
+        return corrupt(*line);
       }
       PendingMessage message;
-      message.cache_key = state_bytes.substr(pos, key_length);
-      std::string wire = state_bytes.substr(pos + key_length, wire_length);
-      pos += key_length + wire_length + 1;  // Skip the trailing '\n'.
-      Result<http::HttpRequest> request = http::HttpRequest::Parse(wire);
+      message.cache_key = state_bytes.substr(pos, *key_length);
+      Result<http::HttpRequest> request = http::HttpRequest::Parse(
+          state_bytes.substr(pos + *key_length, *wire_length));
       if (!request.ok()) {
         return Status::ParseError(
             StrCat("unparseable eject message in delivery checkpoint: ",
                    request.status().ToString()));
       }
+      pos += *key_length + *wire_length + 1;  // Skip the trailing '\n'.
       message.request = std::move(request).value();
       // Rebase timing into the new process's clock and grant a full
       // attempt budget: the outage that queued the message has usually
@@ -626,13 +635,28 @@ Status ReliableDeliveryQueue::RestoreState(const std::string& state_bytes) {
       message.attempts = 0;
       message.first_attempt = now;
       message.next_retry = now;
-      current->queue.push_back(std::move(message));
+      staged.back().queue.push_back(std::move(message));
     } else {
-      return Status::ParseError(
-          StrCat("unknown delivery checkpoint record: ", *line));
+      return corrupt(*line);
     }
   }
-  if (!saw_end) return Status::ParseError("truncated delivery checkpoint");
+  if (!saw_end || pos != state_bytes.size() || !complete()) {
+    return Status::ParseError("truncated delivery checkpoint");
+  }
+  for (StagedSink& sink : staged) {
+    SinkState* state = sink.state;
+    state->quarantined = sink.quarantined;
+    state->queue = std::move(sink.queue);
+    // Breaker state rebases into the new process's clock: a breaker
+    // that was open (or mid-probe) restarts a full cooldown now, and
+    // the failure streak resets — but a pending recovery flush is
+    // durable, since the dropped ejects are gone either way.
+    state->consecutive_failures = 0;
+    state->breaker =
+        sink.breaker_open ? BreakerState::kOpen : BreakerState::kClosed;
+    state->breaker_opened_at = now;
+    state->recovery_flush_pending = sink.recovery_flush_pending;
+  }
   return Status::OK();
 }
 

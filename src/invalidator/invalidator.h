@@ -108,37 +108,34 @@ class Invalidator {
   /// consumers are past it too.
   uint64_t consumed_update_seq() const { return last_update_seq_; }
 
-  /// Serializes the invalidator's full resumption state (checkpoint v5,
-  /// the durable store's snapshot payload): the consumed update-log
-  /// position, the per-shard QI/URL-map cursors, the lifetime counters,
-  /// every query type (name + canonical template + statistics +
-  /// cacheability + strategy tier), every live instance's SQL, and each
-  /// CheckpointableSink's durable state (un-acked delivery-queue
+  /// Serializes the invalidator's full resumption state — the durable
+  /// store's snapshot payload, a commit delta's records for every type
+  /// and sink plus the registry (grammar: invalidator.cc, DESIGN.md §12):
+  /// the consumed update-log position, the per-shard QI/URL-map cursors,
+  /// the lifetime counters, every query type (statistics, cacheability,
+  /// name, canonical template, strategy tier), every live instance's SQL,
+  /// and each CheckpointableSink's durable state (un-acked delivery-queue
   /// messages). Folds any pending restore ops in first. After a crash,
   /// build a fresh Invalidator (same database/map, sinks re-added in the
   /// same order) and Restore() to resume without missing an update.
   std::string Checkpoint();
 
-  /// Rebuilds resumption state from Checkpoint() output — the current v5
-  /// format or a legacy v1–v4 blob. The update-log cursor rewinds to
-  /// the persisted position, so updates that committed after the
-  /// checkpoint (including during the outage) are replayed — at least
-  /// once, made safe by idempotent ejects.
+  /// Rebuilds resumption state from Checkpoint() output. The blob is
+  /// parsed and validated whole before anything changes, so a corrupt
+  /// record returns ParseError and leaves the invalidator as it was
+  /// (each sink validates its own opaque state the same way). The
+  /// update-log cursor rewinds to the persisted position, so updates
+  /// that committed after the checkpoint (including during the outage)
+  /// are replayed — at least once, made safe by idempotent ejects.
   ///
-  /// v5 additionally pins each type's persisted strategy tier
+  /// Each type's persisted strategy tier is pinned
   /// (MetadataPlane::InstallTier) before any instance re-registers, so
-  /// the strategy census and dispatch match the dead process exactly;
-  /// v4 blobs carry no tiers, so restored types re-derive them at their
-  /// first instance registration.
-  ///
-  /// v4/v5 restore the registry WITHOUT the O(N) parse cost up front:
-  /// types, statistics, and cursors rebuild eagerly (cursors restore to
-  /// their persisted positions — no map rescan), while instance SQLs are
-  /// queued and re-registered lazily by ApplyPendingRestore() (run
-  /// automatically at the next cycle) — restart-to-ready is O(types),
-  /// not O(instances). v1–v3 keep their historical semantics: map
-  /// cursors rewind to zero and live map rows re-register on the next
-  /// scan.
+  /// the strategy census and dispatch match the dead process exactly.
+  /// Types, statistics and map cursors rebuild eagerly (the cursors are
+  /// clamped to the live map's last id — no rescan), while instance SQLs
+  /// are queued and re-registered lazily by ApplyPendingRestore() (run
+  /// automatically at the next cycle): restart-to-ready is O(types), not
+  /// O(instances).
   Status Restore(const std::string& checkpoint);
 
   // ---- Durability seams (storage::DurableMetadataStore wiring). ----
@@ -158,10 +155,11 @@ class Invalidator {
   /// keeps commit cost and recovery O(delta).
   std::string EncodeDurableDelta(DurableDeltaBaseline* baseline);
 
-  /// Applies a delta produced by EncodeDurableDelta: cursors, counters,
-  /// and sink states apply immediately; per-type statistics are staged
-  /// with the pending restore ops (their types may themselves still be
-  /// queued) and land in ApplyPendingRestore().
+  /// Applies a delta produced by EncodeDurableDelta, through the same
+  /// parser as Restore: cursors, counters, and sink states apply
+  /// immediately; per-type statistics are staged with the pending
+  /// restore ops (their types may themselves still be queued) and land
+  /// in ApplyPendingRestore().
   Status ApplyDurableDelta(const std::string& payload);
 
   /// Recovery replay: stages a registration/retirement recovered from
@@ -217,6 +215,23 @@ class Invalidator {
   std::string StatsReport() const;
 
  private:
+  /// One parsed snapshot or delta (defined in invalidator.cc).
+  struct DurableRecords;
+
+  /// Appends the records a snapshot and a delta share — cursors,
+  /// counters, `type` lines and sink states — `end` excluded. A null
+  /// `baseline` (a snapshot) writes every type and sink; otherwise only
+  /// those that changed since `baseline`, which is updated in place.
+  void EncodeSharedRecords(DurableDeltaBaseline* baseline, std::string* out);
+
+  /// Parses a whole snapshot (`snapshot`) or delta; nothing is mutated.
+  static Result<DurableRecords> ParseDurableRecords(const std::string& blob,
+                                                    bool snapshot);
+
+  /// Installs parsed records: sink states, then (snapshots only) the
+  /// registry, then the shared scalar state.
+  Status ApplyDurableRecords(DurableRecords& records);
+
   /// The borrowed-component bundle the stages run against.
   StageEnv MakeStageEnv();
 

@@ -72,7 +72,7 @@ class MetadataPlane {
     MatcherStats compile_stats;
     /// Highest QI/URL-map row id whose registration this shard has
     /// absorbed. Advanced in lockstep by the ingest scan; persisted
-    /// per shard by checkpoint v3.
+    /// per shard as a durable `shard_map_id` record.
     uint64_t map_cursor = 0;
     /// Strategy tier of each type this shard owns, assigned at the
     /// type's first instance registration (or pinned by checkpoint
@@ -173,13 +173,11 @@ class MetadataPlane {
   /// Advances every cursor to at least `id` (the ingest scan absorbed
   /// rows up to `id` for all shards).
   void AdvanceMapCursors(uint64_t id);
-  /// Snapshot of all cursors, shard order — checkpoint v3's payload.
+  /// Snapshot of all cursors, shard order — the durable records'
+  /// `shard_map_id` payload.
   std::vector<uint64_t> MapCursors() const;
-  /// Rewinds every cursor to zero (restore: the in-memory registry died
-  /// with the old process; re-registering live map rows is idempotent).
-  void ResetMapCursors();
-  /// Restores persisted cursor positions (checkpoint v4, whose snapshot
-  /// carries the full registry — no rescan needed). With a matching
+  /// Restores persisted cursor positions (a snapshot carries the full
+  /// registry, so no rescan is needed). With a matching
   /// shard count the positions restore exactly; otherwise every cursor
   /// rewinds to the minimum (re-scanning some rows, which registration
   /// idempotency absorbs).

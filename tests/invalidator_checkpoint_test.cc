@@ -30,6 +30,15 @@ class RecordingSink : public InvalidationSink {
   std::set<std::string> invalidated;
 };
 
+/// A cache that never acks: its ejects stay un-acked in a delivery queue.
+class DownSink : public InvalidationSink {
+ public:
+  Status SendInvalidation(const http::HttpRequest&,
+                          const std::string&) override {
+    return Status::Internal("cache unreachable");
+  }
+};
+
 void CreateCarTables(db::Database* db) {
   ASSERT_TRUE(db->CreateTable(db::TableSchema(
                                   "Car", {{"maker", db::ColumnType::kString},
@@ -122,7 +131,7 @@ TEST(InvalidatorCheckpointTest, RestoreRejectsCorruptNumericFields) {
       corrupt(seq_line, "update_seq 18446744073709551616"),  // 2^64.
       corrupt(seq_line, "update_seq -3"),
       corrupt(seq_line, StrCat("update_seq ", seq_before, "junk")),
-      // v3 shard records: garbled count, zero shards, non-numeric cursor
+      // Shard records: garbled count, zero shards, non-numeric cursor
       // index, duplicate cursor (which also breaks the declared count),
       // and a count that disagrees with the cursor lines present.
       corrupt("shards 4", "shards foo"),
@@ -130,8 +139,7 @@ TEST(InvalidatorCheckpointTest, RestoreRejectsCorruptNumericFields) {
       corrupt("shard_map_id 0", "shard_map_id x"),
       corrupt("shard_map_id 1", "shard_map_id 0"),
       corrupt("shards 4", "shards 5"),
-      // Record types are version-gated: a v1-only `map_id` line inside a
-      // v3 blob is corruption, not nostalgia.
+      // The retired single-cursor `map_id` record is unknown now.
       corrupt(seq_line, StrCat(seq_line, "\nmap_id 0")),
       corrupt(seq_line, StrCat(seq_line, "\nsink x 5")),
       corrupt(seq_line, StrCat(seq_line, "\nsink 0 abc")),
@@ -147,54 +155,14 @@ TEST(InvalidatorCheckpointTest, RestoreRejectsCorruptNumericFields) {
   EXPECT_EQ(inv.consumed_update_seq(), seq_before);
 }
 
-/// A v1 checkpoint written before the metadata plane was sharded (single
-/// `map_id` cursor, no shard records) must still restore — deployments
-/// upgrade across the format change with their persisted state intact.
-TEST(InvalidatorCheckpointTest, LegacyV1CheckpointStillRestores) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTables(&db);
-  sniffer::QiUrlMap map;
-  map.Add("SELECT * FROM Car WHERE price < 20000", "shop/cheap?##", "/r", 0);
-
-  RecordingSink sink;
-  Invalidator inv(&db, &map, &clock);
-  inv.AddSink(&sink);
-  inv.RunCycle().value();
-  const uint64_t seq = inv.consumed_update_seq();
-
-  // The exact bytes the pre-v3 writer produced (no checkpointable sink).
-  const std::string legacy = StrCat("cacheportal-invalidator-checkpoint 1\n",
-                                    "update_seq ", seq, "\n",
-                                    "map_id ", map.LastId(), "\n", "end\n");
-  db.ExecuteSql("INSERT INTO Car VALUES ('Honda', 'Civic', 15000)").value();
-
-  Invalidator inv2(&db, &map, &clock);
-  inv2.AddSink(&sink);
-  ASSERT_TRUE(inv2.Restore(legacy).ok());
-  EXPECT_EQ(inv2.consumed_update_seq(), seq);
-  inv2.RunCycle().value();
-  EXPECT_TRUE(sink.invalidated.contains("shop/cheap?##"));
-
-  // And v1 corruption is still loud: shard records don't belong in v1.
-  const std::string hybrid = StrCat("cacheportal-invalidator-checkpoint 1\n",
-                                    "update_seq ", seq, "\n",
-                                    "shards 2\n", "end\n");
-  EXPECT_TRUE(inv2.Restore(hybrid).IsParseError());
-  EXPECT_FALSE(
-      inv2.Restore(StrCat("cacheportal-invalidator-checkpoint 1\n",
-                          "update_seq ", seq, "\nmap_id zzz\nend\n"))
-          .ok());
-}
-
-/// v5 round-trip: the current format carries one QI/URL-map cursor per
-/// metadata shard PLUS the full registry (types + instance SQLs +
-/// strategy tiers), and restores into a process with a DIFFERENT live
+/// Round trip: a snapshot carries one QI/URL-map cursor per metadata
+/// shard PLUS the full registry (types + instance SQLs + strategy
+/// tiers), and restores into a process with a DIFFERENT live
 /// shard count (the persisted partitioning never constrains the new
 /// configuration — mismatched cursors fall back to the minimum position,
 /// and the snapshot's own instances rebuild the registry without a
 /// rescan).
-TEST(InvalidatorCheckpointTest, V5RoundTripsAcrossShardCounts) {
+TEST(InvalidatorCheckpointTest, RoundTripsAcrossShardCounts) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
@@ -206,7 +174,7 @@ TEST(InvalidatorCheckpointTest, V5RoundTripsAcrossShardCounts) {
   Invalidator inv(&db, &map, &clock, three);
   inv.RunCycle().value();
   std::string checkpoint = inv.Checkpoint();
-  EXPECT_NE(checkpoint.find("cacheportal-invalidator-checkpoint 5\n"),
+  EXPECT_NE(checkpoint.find("cacheportal-invalidator-checkpoint 6\n"),
             std::string::npos);
   EXPECT_NE(checkpoint.find("shards 3\n"), std::string::npos);
   // All three cursors advanced in lockstep to the scanned map row.
@@ -234,10 +202,10 @@ TEST(InvalidatorCheckpointTest, V5RoundTripsAcrossShardCounts) {
   EXPECT_TRUE(sink.invalidated.contains("shop/cheap?##"));
 }
 
-/// v4 restores cursors to their persisted positions — the map is NOT
-/// rescanned (v1–v3 rewound to zero and depended on the rescan). A row
-/// retired before the checkpoint must not resurrect.
-TEST(InvalidatorCheckpointTest, V4RestoresCursorsWithoutRescan) {
+/// Restore puts the cursors back at their persisted positions — the map
+/// is NOT rescanned. A row retired before the checkpoint must not
+/// resurrect.
+TEST(InvalidatorCheckpointTest, RestoresCursorsWithoutRescan) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
@@ -263,106 +231,11 @@ TEST(InvalidatorCheckpointTest, V4RestoresCursorsWithoutRescan) {
   EXPECT_EQ(inv2.StatsReport(), inv.StatsReport());
 }
 
-/// The exact bytes the v3 writer produced still restore (legacy path:
-/// cursors rewind to zero, live map rows re-register on the next scan).
-TEST(InvalidatorCheckpointTest, LegacyV3CheckpointStillRestores) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTables(&db);
-  sniffer::QiUrlMap map;
-  map.Add("SELECT * FROM Car WHERE price < 20000", "shop/cheap?##", "/r", 0);
-
-  Invalidator inv(&db, &map, &clock);
-  inv.RunCycle().value();
-  const uint64_t seq = inv.consumed_update_seq();
-
-  const std::string legacy =
-      StrCat("cacheportal-invalidator-checkpoint 3\n",
-             "update_seq ", seq, "\n", "shards 2\n",
-             "shard_map_id 0 ", map.LastId(), "\n",
-             "shard_map_id 1 ", map.LastId(), "\n", "end\n");
-  db.ExecuteSql("INSERT INTO Car VALUES ('Honda', 'Civic', 15000)").value();
-
-  RecordingSink sink;
-  Invalidator inv2(&db, &map, &clock);
-  inv2.AddSink(&sink);
-  ASSERT_TRUE(inv2.Restore(legacy).ok());
-  EXPECT_EQ(inv2.consumed_update_seq(), seq);
-  EXPECT_EQ(inv2.metadata().MinMapCursor(), 0u);  // v3 rewinds.
-  inv2.RunCycle().value();
-  EXPECT_TRUE(sink.invalidated.contains("shop/cheap?##"));
-
-  // v3 corruption is still loud: a v3 blob must not carry v4 records.
-  EXPECT_TRUE(inv2.Restore(StrCat("cacheportal-invalidator-checkpoint 3\n",
-                                  "update_seq ", seq, "\n", "shards 1\n",
-                                  "shard_map_id 0 0\n", "type_counter 1\n",
-                                  "end\n"))
-                  .IsParseError());
-}
-
-/// The exact bytes the v4 writer produced (11-field type records, no
-/// tier) still restore: the type and instance rebuild, and the tier —
-/// absent from the blob — re-derives at the instance's re-registration.
-TEST(InvalidatorCheckpointTest, LegacyV4CheckpointStillRestores) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTables(&db);
-  sniffer::QiUrlMap map;
-  map.Add("SELECT * FROM Car WHERE price < 20000", "shop/cheap?##", "/r", 0);
-
-  const std::string sql = "SELECT * FROM Car WHERE price < 20000";
-  sql::QueryTemplate tmpl = sql::ExtractTemplateFromSql(sql).value();
-  const std::string name = "Q1";
-  const std::string legacy = StrCat(
-      "cacheportal-invalidator-checkpoint 4\n", "update_seq 0\n",
-      "shards 1\n", "shard_map_id 0 ", map.LastId(), "\n",
-      "type_counter 1\n", "stats 1 0 1 0 0 0 0 0 0 0 0 0 0 0\n",
-      "type ", tmpl.type_id, " 1 1 0 0 0 0 0 ", name.size(), " ",
-      tmpl.canonical_text.size(), "\n", name, "\n", tmpl.canonical_text,
-      "\n", "instance ", sql.size(), "\n", sql, "\n", "end\n");
-
-  RecordingSink sink;
-  Invalidator inv(&db, &map, &clock);
-  inv.AddSink(&sink);
-  ASSERT_TRUE(inv.Restore(legacy).ok());
-  // No tier travels in v4: unassigned until the staged instance replays.
-  EXPECT_FALSE(inv.metadata().TierOf(tmpl.type_id).has_value());
-  db.ExecuteSql("INSERT INTO Car VALUES ('Honda', 'Civic', 15000)").value();
-  inv.RunCycle().value();
-  EXPECT_TRUE(sink.invalidated.contains("shop/cheap?##"));
-  std::optional<TierDecision> tier = inv.metadata().TierOf(tmpl.type_id);
-  ASSERT_TRUE(tier.has_value());
-  EXPECT_EQ(tier->tier, StrategyTier::kExact);
-
-  // v5 corruption is loud: a tier outside [0, 4] fails the parse, and a
-  // v4 blob must not carry 13-field v5 type records.
-  EXPECT_TRUE(inv.Restore(StrCat(
-                              "cacheportal-invalidator-checkpoint 5\n",
-                              "update_seq 0\n", "shards 1\n",
-                              "shard_map_id 0 0\n", "type_counter 1\n",
-                              "stats 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n",
-                              "type ", tmpl.type_id, " 1 0 0 0 0 0 0 9 ",
-                              name.size(), " ", tmpl.canonical_text.size(),
-                              " 0\n", name, "\n", tmpl.canonical_text,
-                              "\n\n", "end\n"))
-                  .IsParseError());
-  EXPECT_TRUE(inv.Restore(StrCat(
-                              "cacheportal-invalidator-checkpoint 4\n",
-                              "update_seq 0\n", "shards 1\n",
-                              "shard_map_id 0 0\n", "type_counter 1\n",
-                              "stats 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n",
-                              "type ", tmpl.type_id, " 1 0 0 0 0 0 0 0 ",
-                              name.size(), " ", tmpl.canonical_text.size(),
-                              " 0\n", name, "\n", tmpl.canonical_text,
-                              "\n\n", "end\n"))
-                  .IsParseError());
-}
-
-/// Strategy tiers round-trip: a plane restored from a v5 checkpoint
-/// reports byte-identical tier assignments (tier AND demotion reason,
-/// per type) and a byte-identical StatsReport — BEFORE any instance
-/// re-registers, so the pins come from the blob, not a re-derivation.
-TEST(InvalidatorCheckpointTest, V5RestoredTiersAreByteIdentical) {
+/// Strategy tiers round-trip: a plane restored from a snapshot reports
+/// byte-identical tier assignments (tier AND demotion reason, per type)
+/// and a byte-identical StatsReport — BEFORE any instance re-registers,
+/// so the pins come from the blob, not a re-derivation.
+TEST(InvalidatorCheckpointTest, RestoredTiersAreByteIdentical) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
@@ -397,6 +270,162 @@ TEST(InvalidatorCheckpointTest, V5RestoredTiersAreByteIdentical) {
   EXPECT_EQ(inv2.StatsReport(), inv.StatsReport());
 }
 
+/// The TIER field is range-checked: the same hand-written snapshot parses
+/// with tier 0 and fails the parse with tier 9.
+TEST(InvalidatorCheckpointTest, RestoreRejectsOutOfRangeTier) {
+  ManualClock clock;
+  db::Database db(&clock);
+  CreateCarTables(&db);
+  sniffer::QiUrlMap map;
+  sql::QueryTemplate tmpl =
+      sql::ExtractTemplateFromSql("SELECT * FROM Car WHERE price < 20000")
+          .value();
+  const std::string name = "Q1";
+  auto snapshot = [&](int tier) {
+    return StrCat("cacheportal-invalidator-checkpoint 6\n", "update_seq 0\n",
+                  "shards 1\n", "shard_map_id 0 0\n",
+                  "stats 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n", "type ",
+                  tmpl.type_id, " 1 0 0 0 0 0 0\n", "type_counter 1\n",
+                  "type_def ", tmpl.type_id, " ", tier, " ", name.size(),
+                  " ", tmpl.canonical_text.size(), " 0\n", name, "\n",
+                  tmpl.canonical_text, "\n\n", "end\n");
+  };
+  Invalidator inv(&db, &map, &clock);
+  EXPECT_TRUE(inv.Restore(snapshot(9)).IsParseError());
+  EXPECT_TRUE(inv.Restore(snapshot(0)).ok());
+}
+
+/// Copies of `blob` cut at every line boundary, just before and just
+/// after each '\n' (the whole blob excluded).
+std::vector<std::string> LineTruncations(const std::string& blob) {
+  std::vector<std::string> out;
+  for (size_t nl = blob.find('\n'); nl + 1 < blob.size();
+       nl = blob.find('\n', nl + 1)) {
+    out.push_back(blob.substr(0, nl));
+    out.push_back(blob.substr(0, nl + 1));
+  }
+  return out;
+}
+
+/// Returns `blob` with the first line that starts with `prefix` replaced
+/// by `line`.
+std::string ReplaceLine(std::string blob, const std::string& prefix,
+                        const std::string& line) {
+  size_t at = blob.find("\n" + prefix);
+  EXPECT_NE(at, std::string::npos) << prefix;
+  if (at == std::string::npos) return blob;
+  return blob.replace(at + 1, blob.find('\n', at + 1) - at - 1, line);
+}
+
+/// Snapshots and commit deltas go through one parser, which validates
+/// the whole blob before anything changes: every corruption of a real
+/// snapshot and a real delta is a ParseError and leaves the update-log
+/// cursor and the full report — counters, types, tiers, sink backlog —
+/// exactly as they were.
+TEST(InvalidatorCheckpointTest, CorruptSnapshotsAndDeltasChangeNothing) {
+  ManualClock clock;
+  db::Database db(&clock);
+  CreateCarTables(&db);
+  sniffer::QiUrlMap map;
+  map.Add("SELECT * FROM Car WHERE price < 20000", "shop/cheap?##", "/r", 0);
+  map.Add("SELECT * FROM Car WHERE maker LIKE 'F%'", "shop/f?##", "/r", 0);
+
+  DownSink down;
+  core::DeliveryOptions dopts;
+  dopts.max_attempts = 50;
+  core::ReliableDeliveryQueue source_queue(&clock, dopts);
+  source_queue.AddSink(&down, "edge");
+  InvalidatorOptions two;
+  two.metadata_shards = 2;
+  Invalidator source(&db, &map, &clock, two);
+  source.AddSink(&source_queue);
+  source.RunCycle().value();
+  db.ExecuteSql("INSERT INTO Car VALUES ('Kia', 'Rio', 8000)").value();
+  source.RunCycle().value();
+  ASSERT_GE(source_queue.pending(), 1u);
+  const std::string snapshot = source.Checkpoint();
+  Invalidator::DurableDeltaBaseline baseline;
+  const std::string delta = source.EncodeDurableDelta(&baseline);
+  ASSERT_NE(delta.find("\ntype "), std::string::npos);
+  ASSERT_NE(delta.find("\nsink 0 "), std::string::npos);
+
+  // The target has seen other updates and holds no backlog, so a blob
+  // applied even in part would show in its cursor or its report.
+  db.ExecuteSql("INSERT INTO Car VALUES ('Ford', 'Focus', 9000)").value();
+  core::ReliableDeliveryQueue target_queue(&clock, dopts);
+  RecordingSink healthy;
+  target_queue.AddSink(&healthy, "edge");
+  Invalidator target(&db, &map, &clock, two);
+  target.AddSink(&target_queue);
+  target.RunCycle().value();
+  const uint64_t seq_before = target.consumed_update_seq();
+  const std::string report_before = target.StatsReport();
+  ASSERT_NE(seq_before, source.consumed_update_seq());
+
+  const std::string max = "18446744073709551615";  // 2^64 - 1.
+  const std::string sql = "SELECT * FROM Car WHERE price < 20000";
+  const std::string body = snapshot.substr(snapshot.find('\n') + 1);
+  // A block length that wraps a naive `pos + LEN` bound lands the
+  // parser back on the `end` that follows.
+  const std::string wrap_before_end = StrCat(
+      snapshot.substr(0, snapshot.rfind("end\n")), "instance ", max, "\nend\n");
+  std::vector<std::string> bad_snapshots = LineTruncations(snapshot);
+  bad_snapshots.push_back(wrap_before_end);
+  for (int old : {1, 3, 4, 5}) {
+    bad_snapshots.push_back(
+        StrCat("cacheportal-invalidator-checkpoint ", old, "\n", body));
+  }
+  bad_snapshots.push_back(delta);
+  bad_snapshots.push_back(ReplaceLine(snapshot, "instance ",
+                                      StrCat("instance ", max)));
+  bad_snapshots.push_back(ReplaceLine(snapshot, "sink 0 ",
+                                      StrCat("sink 0 ", max)));
+  bad_snapshots.push_back(
+      ReplaceLine(snapshot, "type_counter ", "type_counter 1 2"));
+  bad_snapshots.push_back(snapshot + "update_seq 1\n");
+  bad_snapshots.push_back(
+      ReplaceLine(snapshot, "update_seq ", "update_seq 1\nupdate_seq 1"));
+  for (const std::string& bad : bad_snapshots) {
+    Status status = target.Restore(bad);
+    EXPECT_TRUE(status.IsParseError()) << status.ToString() << "\n" << bad;
+    ASSERT_EQ(target.consumed_update_seq(), seq_before) << bad;
+    ASSERT_EQ(target.StatsReport(), report_before) << bad;
+  }
+
+  const size_t end_at = delta.rfind("end\n");
+  auto before_end = [&](const std::string& records) {
+    return StrCat(delta.substr(0, end_at), records, "end\n");
+  };
+  std::vector<std::string> bad_deltas = LineTruncations(delta);
+  bad_deltas.push_back(snapshot);
+  bad_deltas.push_back(before_end("type_counter 1\n"));
+  bad_deltas.push_back(before_end(StrCat("instance ", sql.size(), "\n", sql,
+                                         "\n")));
+  bad_deltas.push_back(before_end(StrCat("type_def 1 0 2 0 0\nQ1\n\n\n")));
+  bad_deltas.push_back(
+      ReplaceLine(delta, "sink 0 ", StrCat("sink 0 ", max)));
+  bad_deltas.push_back(before_end(StrCat("sink 1 ", max, "\n")));
+  bad_deltas.push_back(ReplaceLine(delta, "stats ", "stats 1 2 3"));
+  bad_deltas.push_back(ReplaceLine(delta, "shards ", "shards 3"));
+  for (int old : {1, 3, 4, 5}) {
+    bad_deltas.push_back(StrCat("cacheportal-invalidator-checkpoint ", old,
+                                "\n", delta.substr(delta.find('\n') + 1)));
+  }
+  for (const std::string& bad : bad_deltas) {
+    Status status = target.ApplyDurableDelta(bad);
+    EXPECT_TRUE(status.IsParseError()) << status.ToString() << "\n" << bad;
+    ASSERT_EQ(target.consumed_update_seq(), seq_before) << bad;
+    ASSERT_EQ(target.StatsReport(), report_before) << bad;
+  }
+
+  // The uncorrupted blobs apply, and move both observables.
+  ASSERT_TRUE(target.ApplyDurableDelta(delta).ok());
+  EXPECT_EQ(target.consumed_update_seq(), source.consumed_update_seq());
+  EXPECT_NE(target.StatsReport(), report_before);
+  ASSERT_TRUE(target.Restore(snapshot).ok());
+  EXPECT_EQ(target_queue.pending(), source_queue.pending());
+}
+
 /// Checkpoints embed CheckpointableSink state: messages stuck in a
 /// ReliableDeliveryQueue at crash time are redelivered after restart.
 TEST(InvalidatorCheckpointTest, PendingQueueMessagesSurviveRestart) {
@@ -407,13 +436,7 @@ TEST(InvalidatorCheckpointTest, PendingQueueMessagesSurviveRestart) {
   sniffer::QiUrlMap map;
 
   // An always-failing sink leaves the eject un-acked in the queue.
-  class DownSink : public InvalidationSink {
-   public:
-    Status SendInvalidation(const http::HttpRequest&,
-                            const std::string&) override {
-      return Status::Internal("cache unreachable");
-    }
-  } down;
+  DownSink down;
   core::DeliveryOptions dopts;
   dopts.max_attempts = 50;
   core::ReliableDeliveryQueue queue1(&clock, dopts);

@@ -381,7 +381,7 @@ TEST(MetadataPlaneTest, MapCursorsAdvanceInLockstepAndReset) {
   EXPECT_EQ(plane.MapCursors(), (std::vector<uint64_t>{7, 7, 7}));
   plane.AdvanceMapCursors(3);  // Never rewinds.
   EXPECT_EQ(plane.MinMapCursor(), 7u);
-  plane.ResetMapCursors();
+  plane.SetMapCursors({0, 0, 0});
   EXPECT_EQ(plane.MapCursors(), (std::vector<uint64_t>{0, 0, 0}));
 }
 
@@ -547,7 +547,8 @@ TEST(IngestStageTest, UnchangedMapEpochSkipsTheScan) {
   EXPECT_EQ(fx.plane.NumInstances(), 2u);
 
   // nullopt (e.g. after Restore) forces a scan even at the same epoch.
-  fx.plane.ResetMapCursors();
+  fx.plane.SetMapCursors(
+      std::vector<uint64_t>(fx.plane.num_shards(), 0));
   fx.plane.RetireInstance("SELECT * FROM T WHERE x < 10");
   fx.last_map_epoch.reset();
   fx.db.ExecuteSql("INSERT INTO T VALUES (7)").value();

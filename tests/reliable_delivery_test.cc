@@ -530,6 +530,113 @@ TEST(CircuitBreakerTest, BreakerStateSurvivesCheckpointRestore) {
   EXPECT_EQ(sink_b.delivered, std::vector<std::string>{"k9"});
 }
 
+/// Pending count, quarantine flag and breaker state of one sink.
+struct SinkSnapshot {
+  size_t pending;
+  bool quarantined;
+  ReliableDeliveryQueue::BreakerState breaker;
+  bool operator==(const SinkSnapshot&) const = default;
+};
+
+SinkSnapshot Observe(const ReliableDeliveryQueue& queue,
+                     const std::string& name) {
+  return {queue.pending_for(name), queue.IsQuarantined(name),
+          queue.breaker_state(name)};
+}
+
+/// Returns `blob` with field `field` of the line starting at `line_start`
+/// replaced by `value`.
+std::string ReplaceField(std::string blob, size_t line_start, size_t field,
+                         const std::string& value) {
+  size_t begin = line_start;
+  for (size_t i = 0; i < field; ++i) begin = blob.find(' ', begin) + 1;
+  size_t end = blob.find_first_of(" \n", begin);
+  return blob.replace(begin, end - begin, value);
+}
+
+/// A corrupt checkpoint must not restore anything: every malformed blob
+/// derived from a real two-sink checkpoint returns an error and leaves
+/// every sink's pending count, quarantine flag and breaker state as they
+/// were. In particular a bad record in the second sink must not leave the
+/// first sink already restored.
+TEST(ReliableDeliveryTest, CorruptCheckpointRestoresNothing) {
+  ManualClock clock;
+  ScriptedSink down_a;
+  ScriptedSink down_b;
+  down_a.always_fail = true;
+  down_b.always_fail = true;
+  DeliveryOptions options = NoJitterOptions();
+  options.max_attempts = 50;
+  ReliableDeliveryQueue source(&clock, options);
+  source.AddSink(&down_a, "a");
+  source.AddSink(&down_b, "bee");
+  source.SendInvalidation(Eject("/p1?id=7"), "k1");
+  source.SendInvalidation(Eject("/p2"), "k2");
+  ASSERT_EQ(source.pending_for("a"), 2u);
+  ASSERT_EQ(source.pending_for("bee"), 2u);
+  const std::string good = source.CheckpointState();
+
+  // The restore target differs from the blob on every observed value:
+  // a tripped breaker on "a" (flush pending), a quarantine on "bee".
+  DeliveryOptions trip = options;
+  trip.breaker_failure_threshold = 1;
+  trip.breaker_cooldown = 1000 * kMicrosPerSecond;
+  ScriptedSink target_a;
+  ScriptedSink target_b;
+  target_a.always_fail = true;
+  target_b.always_fail = true;
+  ReliableDeliveryQueue target(&clock, trip);
+  target.AddSink(&target_a, "a", [] {});
+  target.AddSink(&target_b, "bee");
+  target.SendInvalidation(Eject("/t"), "t");
+  const SinkSnapshot before_a = Observe(target, "a");
+  const SinkSnapshot before_b = Observe(target, "bee");
+  ASSERT_EQ(before_a.breaker, ReliableDeliveryQueue::BreakerState::kOpen);
+  ASSERT_TRUE(before_b.quarantined);
+
+  // First the case the staged parse exists for: "a" parses cleanly,
+  // then the blob breaks inside "bee"'s records.
+  std::vector<std::string> corpus = {good.substr(0, good.rfind("msg "))};
+  // Every numeric field of both sink lines and both sinks' msg lines.
+  size_t line = 0;
+  while ((line = good.find('\n', line)) != std::string::npos) {
+    ++line;
+    std::vector<std::string> garbles = {"x", "-1", "18446744073709551615"};
+    size_t numeric_fields = 0;
+    if (good.compare(line, 5, "sink ") == 0) {
+      numeric_fields = 5;
+    } else if (good.compare(line, 4, "msg ") == 0) {
+      numeric_fields = 2;
+    }
+    for (size_t field = 1; field <= numeric_fields; ++field) {
+      for (const std::string& garble : garbles) {
+        corpus.push_back(ReplaceField(good, line, field, garble));
+      }
+    }
+    if (numeric_fields == 5) {
+      // Flags outside {0, 1}, a breaker outside {0, 1, 2}, and a queue
+      // size the msg records do not match.
+      corpus.push_back(ReplaceField(good, line, 1, "2"));
+      corpus.push_back(ReplaceField(good, line, 2, "3"));
+      corpus.push_back(ReplaceField(good, line, 3, "2"));
+      corpus.push_back(ReplaceField(good, line, 4, "3"));
+      corpus.push_back(ReplaceField(good, line, 4, "1"));
+    }
+  }
+  ASSERT_GT(corpus.size(), 40u);
+  for (size_t n = 0; n < good.size(); ++n) corpus.push_back(good.substr(0, n));
+
+  for (const std::string& bad : corpus) {
+    EXPECT_FALSE(target.RestoreState(bad).ok()) << bad;
+    ASSERT_EQ(Observe(target, "a"), before_a) << bad;
+    ASSERT_EQ(Observe(target, "bee"), before_b) << bad;
+  }
+  // The same target takes the uncorrupted blob whole.
+  ASSERT_TRUE(target.RestoreState(good).ok());
+  EXPECT_EQ(Observe(target, "a"), Observe(source, "a"));
+  EXPECT_EQ(Observe(target, "bee"), Observe(source, "bee"));
+}
+
 /// Sink that fails with a fixed status until `fail_next` runs out.
 class StatusSink : public invalidator::InvalidationSink {
  public:
