@@ -652,22 +652,21 @@ BENCHMARK(BM_CycleVsOverloadMode)
     ->ArgsProduct({{16, 64, 256}, {0, 1, 2, 3}})
     ->ArgNames({"updates", "mode"});
 
-/// A many-type world for the sharded metadata plane: `kTables` one-column
+/// A many-type world for the metadata plane: `kTables` one-column
 /// tables, each contributing one query type (`a < $1`), instances spread
 /// round-robin. Updates never match a predicate, so instances stay
 /// registered and cycles are steady-state impact analysis over every
-/// shard.
-struct ShardWorld {
+/// type.
+struct ManyTypeWorld {
   static constexpr int kTables = 16;
 
-  ShardWorld(int instances, size_t shards, size_t workers) : db(&clock) {
+  ManyTypeWorld(int instances, size_t workers) : db(&clock) {
     for (int t = 0; t < kTables; ++t) {
       db.CreateTable(
             db::TableSchema(StrCat("T", t), {{"a", db::ColumnType::kInt}}))
           .ok();
     }
     invalidator::InvalidatorOptions options;
-    options.metadata_shards = shards;
     options.worker_threads = workers;
     invalidator =
         std::make_unique<invalidator::Invalidator>(&db, &map, &clock,
@@ -700,38 +699,15 @@ struct ShardWorld {
   std::unique_ptr<invalidator::Invalidator> invalidator;
 };
 
-/// Cycle cost across metadata-plane shard counts: the differential tests
-/// pin the decisions byte-identical at any (shards x workers), so this
-/// curve is pure overhead/benefit of the sharding — merged iteration and
-/// per-shard locking versus the single-lock plane. UseRealTime because
-/// the impact fan-out runs on pool threads.
-void BM_CycleVsShards(benchmark::State& state) {
-  ShardWorld world(static_cast<int>(state.range(1)),
-                   static_cast<size_t>(state.range(0)), /*workers=*/4);
-  for (auto _ : state) {
-    state.PauseTiming();
-    world.AddUpdates(16);
-    state.ResumeTiming();
-    auto report = world.invalidator->RunCycle();
-    benchmark::DoNotOptimize(report);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(1));
-}
-BENCHMARK(BM_CycleVsShards)
-    ->ArgsProduct({{1, 2, 4, 8}, {1000, 10000}})
-    ->ArgNames({"shards", "instances"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// Registration throughput while a cycle churns — the tentpole's reason
-/// to exist. A background thread runs update + cycle back to back; the
+/// Registration throughput while a cycle churns — the cost of the
+/// metadata plane's one lock for a caller that registers off the cycle
+/// thread. A background thread runs update + cycle back to back; the
 /// timed thread streams QI/URL-map adds and registrations over a bounded
 /// rotating SQL set (after the first rotation every call is the known-SQL
-/// fast path: route-map lookup + one shard lock). More shards means a
-/// registration rarely waits on the shard a cycle phase currently holds.
+/// fast path: one lookup under the plane lock), waiting whenever a cycle
+/// phase holds that lock.
 void BM_RegistrationDuringCycle(benchmark::State& state) {
-  ShardWorld world(1000, static_cast<size_t>(state.range(0)),
-                   /*workers=*/2);
+  ManyTypeWorld world(1000, /*workers=*/2);
   std::atomic<bool> stop{false};
   std::thread cycler([&world, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {
@@ -744,7 +720,7 @@ void BM_RegistrationDuringCycle(benchmark::State& state) {
   int64_t i = 0;
   for (auto _ : state) {
     const int slot = static_cast<int>(i % kRotation);
-    const std::string sql = ShardWorld::InstanceSql(kOffset + slot);
+    const std::string sql = ManyTypeWorld::InstanceSql(kOffset + slot);
     world.map.Add(sql, StrCat("reg/p", slot, "?##"), "/r", 0);
     Status status = world.invalidator->RegisterInstance(sql);
     benchmark::DoNotOptimize(status);
@@ -754,13 +730,7 @@ void BM_RegistrationDuringCycle(benchmark::State& state) {
   cycler.join();
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RegistrationDuringCycle)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgName("shards")
-    ->UseRealTime();
+BENCHMARK(BM_RegistrationDuringCycle)->UseRealTime();
 
 /// Restart cost versus registered instances, with and without a
 /// snapshot covering them. The timed region is DurabilityCoordinator

@@ -130,8 +130,8 @@ class CachePortal {
   Result<invalidator::CycleReport> RunCycle();
 
   /// Serializes the invalidator's resumption state (see
-  /// Invalidator::Checkpoint — update-log cursor, per-shard
-  /// QI/URL-map cursors, full registry, sink backlogs) and trims the
+  /// Invalidator::Checkpoint — update-log cursor, QI/URL-map cursor,
+  /// full registry, sink backlogs) and trims the
   /// update log — the log's bounded-memory story: records at or below
   /// the checkpointed cursor can never be needed again, even across a
   /// crash+Restore. With durability configured this also installs a
@@ -139,8 +139,7 @@ class CachePortal {
   /// position that snapshot (or the last synced commit) durably covers.
   std::string Checkpoint();
 
-  /// Rebuilds resumption state from Checkpoint() output, including one
-  /// written at a different metadata-plane shard count. A corrupt or
+  /// Rebuilds resumption state from Checkpoint() output. A corrupt or
   /// foreign blob is a ParseError and changes nothing.
   Status Restore(const std::string& checkpoint) {
     return invalidator_.Restore(checkpoint);

@@ -98,7 +98,7 @@ struct InstanceAnalysis {
 /// wrote and nothing else, so any stage is testable in isolation by
 /// hand-building its input context.
 struct CycleContext {
-  /// Cycle start time (orders polling deadlines).
+  /// Cycle start time (times report.duration).
   Micros start = 0;
   /// The degradation rung, resolved into stage knobs.
   StagePolicy policy;
@@ -147,7 +147,7 @@ struct StageEnv {
   const std::vector<InvalidationSink*>* sinks = nullptr;
   InvalidatorStats* stats = nullptr;
   /// Cycle-side matcher counters (probes, exclusions, consolidation);
-  /// the compile-side counters live in the plane's shards.
+  /// the compile-side counters live in the metadata plane.
   MatcherStats* cycle_matcher_stats = nullptr;
   uint64_t* last_update_seq = nullptr;
   /// QiUrlMap epoch snapshot from the last ingest scan; lets the next

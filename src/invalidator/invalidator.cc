@@ -21,8 +21,7 @@ Invalidator::Invalidator(db::Database* database, sniffer::QiUrlMap* map,
       map_(map),
       clock_(clock),
       options_(options),
-      plane_(database, options.metadata_shards, options.exact_strategy,
-             map->shared_ids()),
+      plane_(database, options.exact_strategy, map->shared_ids()),
       info_(database),
       scheduler_(options.max_polls_per_cycle) {
   policy_.SetThresholds(options_.thresholds);
@@ -112,11 +111,11 @@ std::string Invalidator::StatsReport() const {
     out += StrCat("  sink ", i, " ", observable->HealthReport(), "\n");
   }
   // Strategy census (DESIGN.md §16). Snapshotted BEFORE the ForEachType
-  // walk below: TierAssignments locks shards one at a time, while the
-  // walk holds every shard lock — calling TierOf from inside it would
-  // self-deadlock. The census derives from the assigned tiers (persisted
-  // ones included), never from live matcher counters, so a report taken
-  // right after a restore is byte-identical to the dead process's.
+  // walk below: the walk holds the plane lock, so calling TierOf from
+  // inside it would self-deadlock. The census derives from the assigned
+  // tiers (persisted ones included), never from live matcher counters, so
+  // a report taken right after a restore is byte-identical to the dead
+  // process's.
   std::map<uint64_t, TierDecision> tiers = plane_.TierAssignments();
   {
     size_t census[4] = {0, 0, 0, 0};
@@ -137,11 +136,11 @@ std::string Invalidator::StatsReport() const {
       out += "\n";
     }
   }
-  // The plane's merged iteration is ascending type_id across all shards,
-  // so this block is byte-identical at any shard count. Types whose
-  // persisted statistics are still staged (restore ran, the next cycle
-  // hasn't) report the staged values, so a report taken right after
-  // recovery matches the one the dead process would have produced.
+  // The plane iterates in ascending type_id order, so this block does
+  // not depend on registration order. Types whose persisted statistics
+  // are still staged (restore ran, the next cycle hasn't) report the
+  // staged values, so a report taken right after recovery matches the
+  // one the dead process would have produced.
   plane_.ForEachType([&](const QueryType& type) {
     const QueryTypeStats* ts = &type.stats;
     bool cacheable = type.cacheable;
@@ -177,10 +176,9 @@ namespace {
 /// may hold newlines and serialized HTTP) travel as length-prefixed
 /// blocks, each followed by '\n'.
 ///
-///   cacheportal-invalidator-delta 1    (a snapshot: ...-checkpoint 6)
+///   cacheportal-invalidator-delta 2    (a snapshot: ...-checkpoint 7)
 ///   update_seq N
-///   shards K
-///   shard_map_id I CURSOR              (K lines, I in [0, K))
+///   map_cursor C
 ///   stats <14 lifetime counters>
 ///   type TID CACHEABLE SEEN CHECKS AFFECTED POLLS TOTAL_US MAX_US
 ///                                      (delta: changed types; snapshot: all)
@@ -192,15 +190,15 @@ namespace {
 ///   end
 ///
 /// Records may come in any order before `end`, each at most once per
-/// key (per index for shard_map_id and sink, per TID for type and
-/// type_def). TIER is the StrategyTier value (0 exact, 1 compiled-batch,
-/// 2 interpret, 3 poll) or 4 for a type whose tier is still unassigned
-/// (declared offline, no instance yet). Restore pins the persisted tier
+/// key (per index for sink, per TID for type and type_def). TIER is the
+/// StrategyTier value (0 exact, 1 compiled-batch, 2 interpret, 3 poll)
+/// or 4 for a type whose tier is still unassigned (declared offline, no
+/// instance yet). Restore pins the persisted tier
 /// eagerly (InstallTier), so a StatsReport taken right after recovery
 /// prints the census and per-type tiers the dead process would have —
 /// tiers are never re-derived from a possibly-drifted analyzer.
-constexpr char kSnapshotMagic[] = "cacheportal-invalidator-checkpoint 6";
-constexpr char kDeltaMagic[] = "cacheportal-invalidator-delta 1";
+constexpr char kSnapshotMagic[] = "cacheportal-invalidator-checkpoint 7";
+constexpr char kDeltaMagic[] = "cacheportal-invalidator-delta 2";
 
 /// The TIER field's "no tier assigned yet" sentinel (valid tiers 0..3).
 constexpr uint64_t kTierUnassigned = 4;
@@ -221,7 +219,7 @@ bool Changed(std::map<Key, std::string>& last, Key key,
 struct Invalidator::DurableRecords {
   bool snapshot = false;
   uint64_t update_seq = 0;
-  std::vector<uint64_t> cursors;  // Shard order.
+  uint64_t map_cursor = 0;
   InvalidatorStats stats;
   std::map<uint64_t, TypeOverride> types;
   std::map<size_t, std::string> sinks;
@@ -240,12 +238,8 @@ struct Invalidator::DurableRecords {
 
 void Invalidator::EncodeSharedRecords(DurableDeltaBaseline* baseline,
                                       std::string* out) {
-  std::vector<uint64_t> cursors = plane_.MapCursors();
-  *out += StrCat("update_seq ", last_update_seq_, "\n", "shards ",
-                 cursors.size(), "\n");
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    *out += StrCat("shard_map_id ", i, " ", cursors[i], "\n");
-  }
+  *out += StrCat("update_seq ", last_update_seq_, "\n", "map_cursor ",
+                 plane_.MapCursor(), "\n");
   const InvalidatorStats& s = stats_;
   *out += StrCat("stats ", s.cycles, " ", s.updates_processed, " ",
                  s.instances_registered, " ", s.instance_checks, " ",
@@ -286,8 +280,7 @@ std::string Invalidator::Checkpoint() {
   std::string out = StrCat(kSnapshotMagic, "\n");
   EncodeSharedRecords(/*baseline=*/nullptr, &out);
   out += StrCat("type_counter ", plane_.TypeCount(), "\n");
-  // Snapshot before the walk: TierAssignments takes shard locks one at a
-  // time, the walk below holds them all.
+  // Snapshot before the walk: the walk below holds the plane lock.
   std::map<uint64_t, TierDecision> tiers = plane_.TierAssignments();
   plane_.ForEachType([&](const QueryType& type) {
     auto tier_it = tiers.find(type.type_id);
@@ -359,11 +352,10 @@ Result<Invalidator::DurableRecords> Invalidator::ParseDurableRecords(
   DurableRecords records;
   records.snapshot = snapshot;
   std::optional<uint64_t> update_seq;
-  std::optional<uint64_t> shard_count;
+  std::optional<uint64_t> map_cursor;
   std::optional<uint64_t> type_counter;
   bool saw_stats = false;
   bool saw_end = false;
-  std::map<uint64_t, uint64_t> cursors;
   std::set<uint64_t> defined_types;
   while (std::optional<std::string_view> line = next_line()) {
     if (*line == "end") {
@@ -393,12 +385,8 @@ Result<Invalidator::DurableRecords> Invalidator::ParseDurableRecords(
     }
     if (record == "update_seq" && n == 1 && !update_seq) {
       update_seq = v[0];
-    } else if (record == "shards" && n == 1 && v[0] > 0 &&
-               !shard_count) {
-      shard_count = v[0];
-    } else if (record == "shard_map_id" && n == 2 &&
-               !cursors.contains(v[0])) {
-      cursors[v[0]] = v[1];
+    } else if (record == "map_cursor" && n == 1 && !map_cursor) {
+      map_cursor = v[0];
     } else if (record == "stats" && n == 14 && !saw_stats) {
       InvalidatorStats& s = records.stats;
       uint64_t* slots[14] = {&s.cycles,
@@ -446,7 +434,7 @@ Result<Invalidator::DurableRecords> Invalidator::ParseDurableRecords(
       // The template must still parse, and to the same identity: the
       // type_id is the template hash, so a mismatch means the blob's
       // bytes rotted (or the canonicalizer changed incompatibly) and the
-      // registry built from it would route instances to the wrong shard.
+      // registry built from it would file instances under the wrong type.
       Result<sql::QueryTemplate> tmpl =
           sql::ExtractTemplateFromSql(def.tmpl_text);
       if (!tmpl.ok() || tmpl->type_id != def.type_id) {
@@ -471,20 +459,13 @@ Result<Invalidator::DurableRecords> Invalidator::ParseDurableRecords(
   if (pos != blob.size()) {
     return Status::ParseError(StrCat("bytes after end of invalidator ", kind));
   }
-  if (!update_seq || !saw_stats || !shard_count ||
+  if (!update_seq || !saw_stats || !map_cursor ||
       (snapshot && !type_counter)) {
     return Status::ParseError(
         StrCat("invalidator ", kind, " lacks a required record"));
   }
-  // The keys are distinct, so K of them all below K are exactly 0..K-1.
-  if (cursors.size() != *shard_count ||
-      cursors.rbegin()->first >= *shard_count) {
-    return Status::ParseError(
-        StrCat("invalidator ", kind, " declares ", *shard_count,
-               " shards but its cursors do not cover them"));
-  }
   records.update_seq = *update_seq;
-  for (const auto& [index, cursor] : cursors) records.cursors.push_back(cursor);
+  records.map_cursor = *map_cursor;
   records.type_counter = type_counter.value_or(0);
   return records;
 }
@@ -549,26 +530,23 @@ Status Invalidator::ApplyDurableRecords(DurableRecords& records) {
     // queries don't wait for the next cycle); statistics are staged
     // behind the pending ops either way — the type may itself still be a
     // queued registration, and re-registration bumps must not survive.
-    plane_.WithShardOfType(tid, [&](MetadataPlane::Shard& shard) {
-      if (QueryType* type = shard.registry.FindType(tid)) {
+    plane_.With([&](MetadataPlane::State& state) {
+      if (QueryType* type = state.registry.FindType(tid)) {
         type->cacheable = override_.cacheable;
       }
     });
     pending_type_overrides_[tid] = override_;
   }
   stats_ = records.stats;
-  // Persisted map cursors are only meaningful against the map incarnation
-  // that wrote them. The sniffer's map is rebuilt from live traffic after
+  // A persisted map cursor is only meaningful against the map incarnation
+  // that wrote it. The sniffer's map is rebuilt from live traffic after
   // a process restart, so its ids restart below the persisted positions —
   // installing such a cursor verbatim would silently skip every
   // re-sniffed row, and updates would never eject the re-cached pages.
   // Clamp to the live tail: rows the map does hold stay consumed (no
   // rescan on an in-process restore), and a rebuilt map rescans from its
   // start.
-  for (uint64_t& cursor : records.cursors) {
-    cursor = std::min(cursor, map_->LastId());
-  }
-  plane_.SetMapCursors(records.cursors);
+  plane_.SetMapCursor(std::min(records.map_cursor, map_->LastId()));
   last_update_seq_ = records.update_seq;
   last_map_epoch_.reset();  // Force the next cycle's map scan.
   retire_sweep_due_ = true;  // ... and its retire sweep.
@@ -609,8 +587,8 @@ void Invalidator::ApplyPendingRestore() {
   // overwritten by the persisted absolute values, or recovered reports
   // would double-count every instance that survived the crash.
   for (const auto& [tid, override_] : pending_type_overrides_) {
-    plane_.WithShardOfType(tid, [&](MetadataPlane::Shard& shard) {
-      if (QueryType* type = shard.registry.FindType(tid)) {
+    plane_.With([&](MetadataPlane::State& state) {
+      if (QueryType* type = state.registry.FindType(tid)) {
         type->cacheable = override_.cacheable;
         type->stats = override_.stats;
       }

@@ -40,7 +40,7 @@ namespace cacheportal::invalidator {
 /// generation). It runs entirely outside the web server, application
 /// server, and DBMS, synchronizing by polling their logs.
 ///
-/// Structure: registration metadata lives in a sharded MetadataPlane
+/// Structure: registration metadata lives in one MetadataPlane
 /// (metadata_plane.h), and RunCycle is the fixed composition of four
 /// typed stages (stages.h) — IngestStage → ImpactStage → PollStage →
 /// DeliverStage — threading one CycleContext through them.
@@ -48,9 +48,11 @@ namespace cacheportal::invalidator {
 /// Threading contract: RunCycle runs on ONE thread (the cycle thread) at
 /// a time. Concurrently with a running cycle, other threads may safely
 /// call RegisterInstance / IsQuerySqlCacheable / SetPollingConnection,
-/// and the sniffer may Add to the QI/URL map — the plane's shard locks
-/// and the map's internal lock serialize the touch points. Checkpoint /
-/// Restore / StatsReport are cycle-thread-only.
+/// and the sniffer may Add to the QI/URL map — the plane's lock and the
+/// map's internal lock serialize the touch points. In this library every
+/// registration comes from the cycle thread (the ingest scan and the
+/// restore drain); the sniffer writes only the map. Checkpoint / Restore
+/// / StatsReport are cycle-thread-only.
 class Invalidator {
  public:
   /// Observes `database`'s update log and the sniffer-maintained `map`.
@@ -85,7 +87,7 @@ class Invalidator {
 
   /// Registers a concrete query instance directly (the same path the
   /// QI/URL-map scan uses). Safe from any thread, concurrently with a
-  /// running cycle — registration routes to exactly one metadata shard.
+  /// running cycle — the metadata plane's lock serializes it.
   Status RegisterInstance(const std::string& sql);
 
   /// Registers a hard invalidation policy rule (Section 4.1.3).
@@ -111,7 +113,7 @@ class Invalidator {
   /// Serializes the invalidator's full resumption state — the durable
   /// store's snapshot payload, a commit delta's records for every type
   /// and sink plus the registry (grammar: invalidator.cc, DESIGN.md §12):
-  /// the consumed update-log position, the per-shard QI/URL-map cursors,
+  /// the consumed update-log position, the QI/URL-map cursor,
   /// the lifetime counters, every query type (statistics, cacheability,
   /// name, canonical template, strategy tier), every live instance's SQL,
   /// and each CheckpointableSink's durable state (un-acked delivery-queue
@@ -189,8 +191,7 @@ class Invalidator {
     storage_reporter_ = std::move(reporter);
   }
 
-  /// The sharded registration metadata (registry partitions, matchers,
-  /// bind indexes).
+  /// The registration metadata (registry, matchers, bind indexes).
   const MetadataPlane& metadata() const { return plane_; }
   const PolicyEngine& policy() const { return policy_; }
   const InformationManager& info() const { return info_; }
@@ -199,9 +200,9 @@ class Invalidator {
     return polling_cache_.get();
   }
   const InvalidatorStats& stats() const { return stats_; }
-  /// Merged matcher counters: compile-side from the plane's shards,
+  /// Merged matcher counters: compile-side from the metadata plane,
   /// cycle-side from the pipeline. Returned by value (the parts live in
-  /// different places since the plane was sharded).
+  /// different places).
   MatcherStats matcher_stats() const;
   const InvalidatorOptions& options() const { return options_; }
   /// The overload controller, or nullptr when not enabled.
@@ -251,7 +252,7 @@ class Invalidator {
   const Clock* clock_;
   InvalidatorOptions options_;
 
-  /// Registration metadata, sharded by query-type hash (its own locks).
+  /// Registration metadata (behind its own lock).
   MetadataPlane plane_;
   PolicyEngine policy_;
   InformationManager info_;
@@ -272,7 +273,7 @@ class Invalidator {
   std::unique_ptr<OverloadController> overload_;
 
   // Cycle-side matcher counters (probes, exclusions, consolidation);
-  // compile-side counters live in the plane's shards.
+  // compile-side counters live in the metadata plane.
   MatcherStats cycle_matcher_stats_;
 
   uint64_t last_update_seq_ = 0;

@@ -8,10 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/interner.h"
 #include "common/status.h"
@@ -25,21 +22,13 @@
 namespace cacheportal::invalidator {
 
 /// The registration module's state — query-type registry, compiled
-/// template matchers, and bind-value indexes — sharded by query-type
-/// hash so sniffer-side registration can proceed while a cycle runs.
+/// template matchers, bind-value indexes, strategy tiers and the QI/URL-
+/// map cursor — behind one mutex.
 ///
-/// Sharding: a query routes to shard `type_id % num_shards()`; the
-/// type_id is the template hash, computable from the SQL text alone, so
-/// registration takes exactly one shard lock. Everything type-scoped
-/// (the type, its instances, its matcher, its bind index postings) lives
-/// whole in one shard — cycle phases that work type by type lock one
-/// shard at a time.
-///
-/// Determinism: the merged iterators (ForEachType / ForEachInstance)
-/// visit types in ascending type_id order and instances of a type in
-/// SQL-text order — exactly the orders the unsharded registry exposed —
-/// so invalidation decisions and StatsReport() are byte-identical at any
-/// shard count.
+/// Determinism: ForEachType / ForEachInstance visit types in ascending
+/// type_id order and instances of a type in SQL-text order, so
+/// invalidation decisions and StatsReport() do not depend on the order
+/// registrations arrived in.
 ///
 /// Instances are keyed by QueryId in the IdInterner the plane shares
 /// with the QI/URL map it ingests from, so the cycle hands ids, not SQL
@@ -48,21 +37,22 @@ namespace cacheportal::invalidator {
 /// Locking contract:
 ///   - RegisterInstance / RegisterType / FindInstance / FindType and the
 ///     counting accessors are safe from any thread at any time.
-///   - RetireInstance and the With*/ForEach* accessors are cycle-thread
-///     only (they may run concurrently with registration, which the
-///     shard locks serialize, but not with each other).
-///   - Callbacks passed to With*/ForEach* hold shard locks: they must
-///     not call back into the plane.
-///   - QueryType/QueryInstance pointers obtained under a shard lock stay
+///   - RetireInstance, the map cursor and the With/ForEach* accessors
+///     are cycle-thread only (they may run concurrently with
+///     registration, which the lock serializes, but not with each
+///     other).
+///   - Callbacks passed to With/ForEach* hold the lock: they must not
+///     call back into the plane.
+///   - QueryType/QueryInstance pointers obtained under the lock stay
 ///     valid after it is released (node-based maps; types are never
 ///     erased, instances only by RetireInstance on the cycle thread).
 class MetadataPlane {
  public:
-  /// One shard's partition of the metadata. Exposed (under the shard's
-  /// lock, via WithShard*) so cycle stages can run the registry, matcher,
-  /// and bind-index machinery directly.
-  struct Shard {
-    explicit Shard(TextInterner* queries) : registry(queries) {}
+  /// The metadata the lock guards. Exposed (under the lock, via With) so
+  /// cycle stages can run the registry, matcher, and bind-index
+  /// machinery directly.
+  struct State {
+    explicit State(TextInterner* queries) : registry(queries) {}
 
     QueryTypeRegistry registry;
     std::map<uint64_t, TypeMatcher> matchers;
@@ -70,43 +60,33 @@ class MetadataPlane {
     /// Compile-side counters (types_compiled / types_handled); the
     /// cycle-side MatcherStats counters live with the cycle.
     MatcherStats compile_stats;
-    /// Highest QI/URL-map row id whose registration this shard has
-    /// absorbed. Advanced in lockstep by the ingest scan; persisted
-    /// per shard as a durable `shard_map_id` record.
-    uint64_t map_cursor = 0;
-    /// Strategy tier of each type this shard owns, assigned at the
-    /// type's first instance registration (or pinned by checkpoint
-    /// restore) and immutable afterwards (DESIGN.md §16).
+    /// Strategy tier of each type, assigned at the type's first instance
+    /// registration (or pinned by checkpoint restore) and immutable
+    /// afterwards (DESIGN.md §16).
     std::map<uint64_t, TierDecision> tiers;
   };
 
   /// `database` is needed to compile type matchers (schema lookups); not
-  /// owned. `num_shards` of 0 is treated as 1. `exact_strategy`
-  /// (InvalidatorOptions::exact_strategy) allows the exact tier in tier
-  /// assignment. `ids` is the QI/URL map's interner (null: a private
-  /// one, for a plane no map feeds).
-  MetadataPlane(db::Database* database, size_t num_shards,
-                bool exact_strategy, std::shared_ptr<IdInterner> ids = nullptr);
+  /// owned. `exact_strategy` (InvalidatorOptions::exact_strategy) allows
+  /// the exact tier in tier assignment. `ids` is the QI/URL map's
+  /// interner (null: a private one, for a plane no map feeds).
+  MetadataPlane(db::Database* database, bool exact_strategy,
+                std::shared_ptr<IdInterner> ids = nullptr);
 
   MetadataPlane(const MetadataPlane&) = delete;
   MetadataPlane& operator=(const MetadataPlane&) = delete;
 
-  size_t num_shards() const { return shards_.size(); }
   /// The interner naming instance ids.
   IdInterner& ids() const { return *ids_; }
-  size_t ShardOfType(uint64_t type_id) const {
-    return type_id % shards_.size();
-  }
 
-  /// Offline registration: declare a query type (routed by its
-  /// template's type_id).
+  /// Offline registration: declare a query type.
   Status RegisterType(const std::string& name,
                       const std::string& parameterized_sql);
 
   /// Registers a query instance and indexes its bind values, compiling
   /// the type's matcher on first contact. Idempotent; safe from any
-  /// thread. The parse runs outside the shard lock; a known instance
-  /// takes only a shared route-map lookup plus the shard lock.
+  /// thread. The parse runs outside the lock; a known instance takes
+  /// only one lookup under the lock.
   Result<const QueryInstance*> RegisterInstance(const std::string& sql);
   /// The same for an id of ids().queries the caller holds a reference on
   /// (a QI/URL map row does); the instance takes its own.
@@ -120,36 +100,31 @@ class MetadataPlane {
   void RetireInstance(const std::string& sql);
   void RetireInstance(QueryId query);
 
-  /// The live instance registered for `sql`, or nullptr. Lock-free of
-  /// parsing: unknown SQL is answered from the route map alone.
+  /// The live instance registered for `sql`, or nullptr. Unknown SQL is
+  /// answered from the interner alone, without parsing.
   const QueryInstance* FindInstance(const std::string& sql) const;
 
   /// The type, or nullptr. The pointer stays valid forever (types are
   /// never erased).
   const QueryType* FindType(uint64_t type_id) const;
 
-  /// Runs `fn` with `type_id`'s shard locked.
-  void WithShardOfType(uint64_t type_id, const std::function<void(Shard&)>& fn);
-  /// Runs `fn` with shard `index` locked.
-  void WithShard(size_t index, const std::function<void(Shard&)>& fn);
+  /// Runs `fn` with the lock held.
+  void With(const std::function<void(State&)>& fn);
 
-  /// Merged iteration in ascending type_id order across all shards
-  /// (shard locks held in index order for the duration — callbacks must
-  /// be quick and must not touch the plane).
+  /// Iteration in ascending type_id order, under the lock (callbacks
+  /// must be quick and must not touch the plane).
   void ForEachType(const std::function<void(const QueryType&)>& fn) const;
   void ForEachTypeMutable(const std::function<void(QueryType&)>& fn);
-  /// Types in type_id order, instances of each type in SQL-text order —
-  /// the unsharded registry's scan order.
+  /// Types in type_id order, instances of each type in SQL-text order.
   void ForEachInstance(
       const std::function<void(const QueryType&, const QueryInstance&)>& fn)
       const;
 
   size_t NumTypes() const;
   size_t NumInstances() const;
-  size_t NumInstancesOfType(uint64_t type_id) const;
   size_t NumIndexedInstances() const;
 
-  /// Summed compile-side matcher counters (probes etc. stay zero here).
+  /// Compile-side matcher counters (probes etc. stay zero here).
   MatcherStats CompileStats() const;
 
   // ---- Strategy tiers (DESIGN.md §16). ----
@@ -157,8 +132,7 @@ class MetadataPlane {
   /// instance registered (and no checkpoint pinned it).
   std::optional<TierDecision> TierOf(uint64_t type_id) const;
   /// Snapshot of every assigned tier, keyed by type_id (sorted — the
-  /// census/checkpoint order). Locks shards one at a time; safe to call
-  /// from StatsReport and checkpointing.
+  /// census/checkpoint order).
   std::map<uint64_t, TierDecision> TierAssignments() const;
   /// Pins a restored tier assignment: later registrations of the type
   /// keep it instead of re-deriving from the (possibly drifted)
@@ -166,93 +140,48 @@ class MetadataPlane {
   void InstallTier(uint64_t type_id, StrategyTier tier,
                    const std::string& reason);
 
-  // ---- QI/URL-map cursors (one per shard, advanced in lockstep). ----
-  /// The scan origin: the smallest per-shard cursor (rows above it may
-  /// be unabsorbed by some shard).
-  uint64_t MinMapCursor() const;
-  /// Advances every cursor to at least `id` (the ingest scan absorbed
-  /// rows up to `id` for all shards).
-  void AdvanceMapCursors(uint64_t id);
-  /// Snapshot of all cursors, shard order — the durable records'
-  /// `shard_map_id` payload.
-  std::vector<uint64_t> MapCursors() const;
-  /// Restores persisted cursor positions (a snapshot carries the full
-  /// registry, so no rescan is needed). With a matching
-  /// shard count the positions restore exactly; otherwise every cursor
-  /// rewinds to the minimum (re-scanning some rows, which registration
-  /// idempotency absorbs).
-  void SetMapCursors(const std::vector<uint64_t>& cursors);
+  // ---- QI/URL-map cursor. ----
+  /// Highest map row id whose registration the plane has absorbed — the
+  /// ingest scan's origin and the durable `map_cursor` record.
+  uint64_t MapCursor() const;
+  /// Advances the cursor to at least `id`.
+  void AdvanceMapCursor(uint64_t id);
+  /// Restores a persisted position (a snapshot carries the full
+  /// registry, so no rescan is needed).
+  void SetMapCursor(uint64_t cursor);
 
-  /// The plane-global count of types ever created (discovered-type
-  /// naming continues from it after a restore).
-  uint64_t TypeCount() const {
-    return type_count_.load(std::memory_order_relaxed);
-  }
-  void SetTypeCount(uint64_t count) {
-    type_count_.store(count, std::memory_order_relaxed);
-  }
+  /// The count of types ever created (discovered-type naming continues
+  /// from it after a restore).
+  uint64_t TypeCount() const;
+  void SetTypeCount(uint64_t count);
 
-  /// Observer of metadata mutations, called OUTSIDE all plane locks as
+  /// Observer of metadata mutations, called OUTSIDE the lock as
   /// `observer(registered, sql)` — true for a fresh instance
   /// registration, false for a retirement. Idempotent re-registrations
   /// (the common sniffer path) do not fire. The durability layer
   /// journals through this seam. Install before concurrent use; pass
   /// nullptr to detach.
-  void SetMutationObserver(
-      std::function<void(bool registered, const std::string& sql)> observer);
+  using Observer =
+      std::function<void(bool registered, const std::string& sql)>;
+  void SetMutationObserver(Observer observer);
 
  private:
-  struct ShardSlot {
-    explicit ShardSlot(TextInterner* queries) : shard(queries) {}
-
-    mutable std::mutex mu;
-    Shard shard;
-  };
-
-  ShardSlot& SlotOfType(uint64_t type_id) const {
-    return *shards_[type_id % shards_.size()];
-  }
-
-  /// Copies the observer out under its lock and fires it with no plane
-  /// lock held.
-  void NotifyObserver(bool registered, const std::string& sql);
-
-  /// Adds a freshly registered instance to its shard's bind index,
-  /// compiling the type's template on first contact (the FROM tables
-  /// exist by then). Caller holds the shard lock.
-  void IndexInstanceLocked(Shard& shard, const QueryInstance& instance);
-
-  /// Locks every shard and visits all types in ascending type_id order,
-  /// passing the owning shard's index — the deterministic k-way merge
-  /// the ForEach* iterators are built on.
-  void MergedTypeScan(
-      const std::function<void(size_t, const QueryType&)>& fn) const;
+  /// Adds a freshly registered instance to the bind index, compiling the
+  /// type's template on first contact (the FROM tables exist by then).
+  /// Caller holds the lock.
+  void IndexInstanceLocked(const QueryInstance& instance);
 
   db::Database* database_;
   bool exact_strategy_;
-  // Declared before shards_: their registries release references into
-  // it when destroyed.
+  // Declared before state_: its registry releases references into it
+  // when destroyed.
   std::shared_ptr<IdInterner> ids_;
-  std::vector<std::unique_ptr<ShardSlot>> shards_;
-  /// Plane-global count of types ever created, shared with every shard's
-  /// registry so discovered-type names are shard-count-invariant.
-  std::atomic<uint64_t> type_count_{0};
-
-  // Route map: every LIVE instance's id -> its type_id, so lookups and
-  // retirement route to a shard without re-parsing. Readers (the
-  // re-registration fast path, FindInstance) take the lock shared;
-  // never held together with a shard lock (lookup, release, then lock
-  // the shard) so the two lock orders cannot deadlock.
-  mutable std::shared_mutex route_mu_;
-  std::unordered_map<QueryId, uint64_t> type_by_query_;
-
-  /// The type_id `query` routes to, if it is a live instance.
-  std::optional<uint64_t> RouteOf(QueryId query) const;
-
-  // The mutation observer, under its own lock (copied out shared, then
-  // invoked with no plane lock held — the callback may do I/O).
-  mutable std::shared_mutex observer_mu_;
-  std::function<void(bool, const std::string&)> observer_;
+  mutable std::mutex mu_;
+  // Guarded by mu_. The observer is copied out under the lock and fired
+  // after it is released (the callback may do I/O).
+  State state_;
+  uint64_t map_cursor_ = 0;
+  Observer observer_;
 };
 
 }  // namespace cacheportal::invalidator

@@ -21,9 +21,6 @@ struct InvalidatorOptions {
   /// Per-cycle polling budget; instances beyond it are invalidated
   /// conservatively. 0 = unlimited.
   size_t max_polls_per_cycle = 0;
-  /// Deadline granted to each cycle's invalidations (only orders polling;
-  /// the cycle always completes).
-  Micros cycle_deadline = kMicrosPerSecond;
   /// When > 0, the invalidator maintains an internal data cache of this
   /// capacity for its polling queries (Section 2.2) instead of hitting
   /// the DBMS for every poll. Ignored while SetPollingConnection() has
@@ -37,13 +34,6 @@ struct InvalidatorOptions {
   /// given the batch's deltas, and results merge in deterministic
   /// instance order); only wall-clock time changes.
   size_t worker_threads = 1;
-  /// Shards of the metadata plane (registry + matchers + bind indexes),
-  /// partitioned by query-type hash. Each shard has its own lock, so
-  /// sniffer-side registration contends only with cycle phases touching
-  /// the same shard. Invalidation decisions and StatsReport() are
-  /// identical at any shard count (shard results merge in deterministic
-  /// type_id order); only lock granularity changes. 0 is treated as 1.
-  size_t metadata_shards = 4;
   /// Thresholds for discovered (self-tuning) cacheability policies.
   PolicyThresholds thresholds;
   /// Overload control: the adaptive degradation ladder that keeps cache

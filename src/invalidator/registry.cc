@@ -37,9 +37,7 @@ Result<uint64_t> QueryTypeRegistry::RegisterType(
   type.tmpl = std::move(tmpl);
   uint64_t id = type.type_id;
   types_.emplace(id, std::move(type));
-  if (type_counter_ != nullptr) {
-    type_counter_->fetch_add(1, std::memory_order_relaxed);
-  }
+  ++type_count_;
   return id;
 }
 
@@ -66,16 +64,10 @@ Result<const QueryInstance*> QueryTypeRegistry::RegisterParsedInstance(
   auto type_it = types_.find(tmpl.type_id);
   if (type_it == types_.end()) {
     // Query type discovery (Section 4.1.2). The name numbers types in
-    // creation order — against the shared counter when one is installed
-    // (so the numbering spans every shard of a metadata plane), against
-    // this registry's own type count otherwise.
-    uint64_t ordinal =
-        type_counter_ == nullptr
-            ? types_.size() + 1
-            : type_counter_->fetch_add(1, std::memory_order_relaxed) + 1;
+    // creation order.
     QueryType type;
     type.type_id = tmpl.type_id;
-    type.name = StrCat("discovered-", ordinal);
+    type.name = StrCat("discovered-", ++type_count_);
     type.tmpl = tmpl.Clone();
     type_it = types_.emplace(type.type_id, std::move(type)).first;
   }
@@ -158,13 +150,6 @@ void QueryTypeRegistry::ForEachInstanceOfType(
               return a->sql < b->sql;
             });
   for (const QueryInstance* instance : sorted) fn(*instance);
-}
-
-std::vector<const QueryType*> QueryTypeRegistry::Types() const {
-  std::vector<const QueryType*> out;
-  out.reserve(types_.size());
-  for (const auto& [id, type] : types_) out.push_back(&type);
-  return out;
 }
 
 std::vector<const QueryInstance*> QueryTypeRegistry::InstancesOfType(

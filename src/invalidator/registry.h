@@ -1,7 +1,6 @@
 #ifndef CACHEPORTAL_INVALIDATOR_REGISTRY_H_
 #define CACHEPORTAL_INVALIDATOR_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -86,15 +85,11 @@ class QueryTypeRegistry {
   QueryTypeRegistry(const QueryTypeRegistry&) = delete;
   QueryTypeRegistry& operator=(const QueryTypeRegistry&) = delete;
 
-  /// Shares a type-creation counter across registries: every new type
-  /// (declared or discovered) bumps it, and discovered types are named
-  /// "discovered-<count after the bump>". The metadata plane installs
-  /// one plane-global counter so discovered names — and therefore
-  /// StatsReport() — are identical at any shard count. Null (the
-  /// default) keeps the historical registry-local count.
-  void SetTypeCounter(std::atomic<uint64_t>* counter) {
-    type_counter_ = counter;
-  }
+  /// Types ever created (declared or discovered). Discovered types are
+  /// named "discovered-<count after the bump>"; a restore resets the
+  /// count so naming continues where the dead process left off.
+  uint64_t TypeCount() const { return type_count_; }
+  void SetTypeCount(uint64_t count) { type_count_ = count; }
 
   /// Offline registration: a domain expert declares a query type by its
   /// parameterized SQL ("SELECT ... WHERE R.A > $1"). Returns the type ID.
@@ -107,7 +102,7 @@ class QueryTypeRegistry {
 
   /// As RegisterInstance, but for the referenced id `query` of the
   /// interner, with the parse and template extraction already done by
-  /// the caller — the metadata plane parses outside its shard locks so
+  /// the caller — the metadata plane parses outside its lock so
   /// registration holds a lock only for the map inserts. `tmpl` must be
   /// ExtractTemplate(*statement)'s output for the id's SQL; both are
   /// consumed only when it is not already registered.
@@ -128,17 +123,14 @@ class QueryTypeRegistry {
   /// Stable iteration without building pointer vectors. Callbacks must
   /// not mutate the registry (collect, then mutate after the loop).
   /// Types iterate in type_id order; instances of a type in SQL-text
-  /// order (sorted per call) — the same orders the vector snapshots
-  /// below expose.
+  /// order (sorted per call) — the same order InstancesOfType returns.
   void ForEachType(const std::function<void(const QueryType&)>& fn) const;
   void ForEachTypeMutable(const std::function<void(QueryType&)>& fn);
   void ForEachInstanceOfType(
       uint64_t type_id,
       const std::function<void(const QueryInstance&)>& fn) const;
 
-  /// All registered types.
-  std::vector<const QueryType*> Types() const;
-  /// All live instances of `type_id`.
+  /// All live instances of `type_id`, in SQL-text order.
   std::vector<const QueryInstance*> InstancesOfType(uint64_t type_id) const;
 
   size_t NumTypes() const { return types_.size(); }
@@ -155,7 +147,7 @@ class QueryTypeRegistry {
   // the order scheduler tie-breaks depend on.
   std::unordered_map<uint64_t, std::unordered_set<const QueryInstance*>>
       instances_by_type_;
-  std::atomic<uint64_t>* type_counter_ = nullptr;  // Not owned; may be null.
+  uint64_t type_count_ = 0;
 };
 
 }  // namespace cacheportal::invalidator

@@ -9,7 +9,6 @@ InvalidationScheduler::Schedule InvalidationScheduler::BuildWithBudget(
     std::vector<PollingTask> tasks, size_t max_polls) const {
   std::sort(tasks.begin(), tasks.end(),
             [](const PollingTask& a, const PollingTask& b) {
-              if (a.deadline != b.deadline) return a.deadline < b.deadline;
               return a.affected_pages > b.affected_pages;
             });
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "sql/ast.h"
 
 namespace cacheportal::invalidator {
@@ -20,14 +19,13 @@ struct PollingTask {
                              // type share a template, which is what makes
                              // them consolidatable into one disjunction.
   std::unique_ptr<sql::SelectStatement> query;  // The polling query.
-  Micros deadline = 0;       // Invalidation must land by this time.
   size_t affected_pages = 0; // Cached pages riding on the verdict.
 };
 
 /// The schedule-generation component (Section 4.2.2). Polling improves
 /// invalidation precision but costs DBMS work, and the invalidator runs
 /// under real-time constraints — so each cycle gets a polling budget.
-/// Tasks are ordered by (deadline, pages at stake); tasks beyond the
+/// Tasks are ordered by pages at stake, most first; tasks beyond the
 /// budget are not polled and their instances are invalidated
 /// conservatively (trading over-invalidation for timeliness, the exact
 /// tradeoff the paper describes).

@@ -86,7 +86,7 @@ Status IngestStage::Run(CycleContext& ctx) {
     if (env_.last_map_epoch != nullptr) *env_.last_map_epoch = epoch;
     uint64_t max_id = 0;
     for (const sniffer::QiUrlRow& row :
-         env_.map->ReadRowsSince(env_.plane->MinMapCursor())) {
+         env_.map->ReadRowsSince(env_.plane->MapCursor())) {
       max_id = std::max(max_id, row.id);
       Result<const QueryInstance*> instance =
           env_.plane->RegisterInstance(row.query);
@@ -102,7 +102,7 @@ Status IngestStage::Run(CycleContext& ctx) {
       ++ctx.report.new_instances;
       ++env_.stats->instances_registered;
     }
-    if (max_id > 0) env_.plane->AdvanceMapCursors(max_id);
+    if (max_id > 0) env_.plane->AdvanceMapCursor(max_id);
   }
 
   // ---- Retire instances whose pages all left the cache. ----
@@ -234,14 +234,14 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // boolean / NaN / missing cells, and every row when the column index
   // is beyond the batch width). Instances absent from every list are
   // provably unaffected — the partition below skips them entirely.
-  // Enumerates TYPES, not instances, each under its shard lock, so a
+  // Enumerates TYPES, not instances, each under the plane lock, so a
   // concurrent registration of the same type is serialized (and keeps
   // the live/indexed counts in step — both change under the same lock).
   // Probes are read-only in the fan-out.
   std::map<std::pair<uint64_t, size_t>, BindIndex::BatchProbe> probes;
 
   /// Per-type snapshot driving the partition: the live instance count is
-  /// captured under the type's shard lock at probe time, so it is
+  /// captured under the plane lock at probe time, so it is
   /// consistent with the probes' candidate sets.
   struct TypeBlock {
     uint64_t type_id = 0;
@@ -279,11 +279,11 @@ Status ImpactStage::Run(CycleContext& ctx) {
     }
   });
   for (TypeBlock& block : blocks) {
-    plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
-      block.live = shard.registry.NumInstancesOfType(block.type_id);
+    plane.With([&](MetadataPlane::State& state) {
+      block.live = state.registry.NumInstancesOfType(block.type_id);
       if (block.live == 0 || block.guarded) return;
-      auto matcher_it = shard.matchers.find(block.type_id);
-      if (matcher_it == shard.matchers.end() ||
+      auto matcher_it = state.matchers.find(block.type_id);
+      if (matcher_it == state.matchers.end() ||
           !matcher_it->second.handled()) {
         return;
       }
@@ -291,7 +291,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
       // indexed; a mismatch (cannot happen while all registrations and
       // retirements flow through the plane) falls back to the
       // interpreted path for the whole type.
-      if (shard.bind_index.IndexedCountOfType(block.type_id) != block.live) {
+      if (state.bind_index.IndexedCountOfType(block.type_id) != block.live) {
         return;
       }
       for (size_t t = 0; t < ctx.merged.size(); ++t) {
@@ -300,7 +300,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
         if (anchor == nullptr) continue;
         env_.cycle_matcher_stats->probes += ctx.merged[t].tuples.size();
         ++env_.cycle_matcher_stats->batch_probes;
-        shard.bind_index.ProbeBatch(
+        state.bind_index.ProbeBatch(
             block.type_id, *anchor,
             ctx.batch_columns[t].Column(anchor->column_index),
             &probes[std::make_pair(block.type_id, t)],
@@ -328,7 +328,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // poll and no pair.
   //
   // The work list's QueryInstance pointers stay valid without holding
-  // shard locks: instances are node-mapped and only the cycle thread
+  // the plane lock: instances are node-mapped and only the cycle thread
   // (IngestStage, DeliverStage) erases them. Registration may insert
   // concurrently; inserts never move nodes.
   struct SkippedBlock {
@@ -375,8 +375,8 @@ Status ImpactStage::Run(CycleContext& ctx) {
     }
 
     if (!eligible) {
-      plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
-        shard.registry.ForEachInstanceOfType(
+      plane.With([&](MetadataPlane::State& state) {
+        state.registry.ForEachInstanceOfType(
             block.type_id, [&](const QueryInstance& instance) {
               InstanceAnalysis analysis;
               analysis.type_id = block.type_id;
@@ -407,9 +407,9 @@ Status ImpactStage::Run(CycleContext& ctx) {
         candidate_ids.end());
     fetched.clear();
     if (!candidate_ids.empty()) {
-      plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
+      plane.With([&](MetadataPlane::State& state) {
         for (uint64_t id : candidate_ids) {
-          const QueryInstance* instance = shard.registry.FindInstanceById(id);
+          const QueryInstance* instance = state.registry.FindInstanceById(id);
           if (instance != nullptr && instance->type_id == block.type_id) {
             fetched.push_back(instance);
           }
@@ -438,7 +438,7 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // Fan out: instances are independent given the batch's deltas. Workers
   // touch only const reads (deltas, schemas, the QI/URL map, the probe
   // results, join-index answers behind a shared lock) and their own work
-  // slot — no shard locks, so registration proceeds concurrently. The
+  // slot — no plane lock, so registration proceeds concurrently. The
   // analyzer is stateless; one per cycle, shared by all workers.
   const std::vector<TableTuples>& merged = ctx.merged;
   const ImpactAnalyzer analyzer(env_.database);
@@ -607,16 +607,16 @@ Status ImpactStage::Run(CycleContext& ctx) {
 
   // Serial merge, in work-list order: fold verdicts into the lifetime and
   // per-type stats and collect the polling tasks. Work is grouped by
-  // type, so each type block merges under one brief shard lock —
-  // identical results to the serial loop, at any shard count.
+  // type, so each type block merges under one brief hold of the plane
+  // lock — identical results to the serial loop.
   size_t i = 0;
   while (i < work.size()) {
     uint64_t type_id = work[i].type_id;
     size_t j = i;
     while (j < work.size() && work[j].type_id == type_id) ++j;
     Status block_status;
-    plane.WithShardOfType(type_id, [&](MetadataPlane::Shard& shard) {
-      QueryType* mutable_type = shard.registry.FindType(type_id);
+    plane.With([&](MetadataPlane::State& state) {
+      QueryType* mutable_type = state.registry.FindType(type_id);
       for (size_t k = i; k < j; ++k) {
         InstanceAnalysis& a = work[k];
         if (!a.status.ok()) {
@@ -675,7 +675,6 @@ Status ImpactStage::Run(CycleContext& ctx) {
           task.instance_id = a.instance_id;
           task.type_id = a.type_id;
           task.query = std::move(poll);
-          task.deadline = ctx.start + env_.options->cycle_deadline;
           task.affected_pages = a.affected_pages;
           ctx.tasks.push_back(std::move(task));
           if (mutable_type != nullptr) ++mutable_type->stats.polling_queries;
@@ -695,8 +694,8 @@ Status ImpactStage::Run(CycleContext& ctx) {
   // order-insensitive sums, so folding after the per-instance merge is
   // byte-identical to interleaving.
   for (const SkippedBlock& block : skipped) {
-    plane.WithShardOfType(block.type_id, [&](MetadataPlane::Shard& shard) {
-      QueryType* mutable_type = shard.registry.FindType(block.type_id);
+    plane.With([&](MetadataPlane::State& state) {
+      QueryType* mutable_type = state.registry.FindType(block.type_id);
       if (mutable_type != nullptr) mutable_type->stats.checks += block.count;
     });
     env_.cycle_matcher_stats->tuples_excluded +=

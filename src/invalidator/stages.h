@@ -13,9 +13,9 @@ namespace cacheportal::invalidator {
 /// in order is exactly the historical monolithic cycle.
 
 /// Plans the degradation rung, scans the QI/URL map for new query
-/// instances (routing registrations into the metadata plane's shards),
-/// retires instances the map's orphan feed reports page-less, pulls the
-/// update log, and builds the delta set + merged tuple views. Sets
+/// instances (registering them in the metadata plane), retires
+/// instances the map's orphan feed reports page-less, pulls the update
+/// log, and builds the delta set + merged tuple views. Sets
 /// ctx.proceed = false when the log had nothing new.
 class IngestStage {
  public:

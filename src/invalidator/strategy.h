@@ -46,9 +46,9 @@ struct TierDecision {
 };
 
 /// Assigns `type` its strategy tier. Deterministic in (template text,
-/// schema, `exact_strategy`): independent of shard count, worker count,
-/// and registration order, so StatsReport() stays byte-identical across
-/// sharding sweeps. `exact_strategy` is InvalidatorOptions' switch for
+/// schema, `exact_strategy`): independent of worker count and
+/// registration order, so StatsReport() stays byte-identical across
+/// worker sweeps. `exact_strategy` is InvalidatorOptions' switch for
 /// the exact tier; `matcher_handled` / `matcher_fallback` describe the
 /// compiled TypeMatcher's verdict for the same type.
 TierDecision DecideTier(const QueryType& type, const db::Database& database,

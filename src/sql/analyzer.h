@@ -104,7 +104,7 @@ struct TemplateShape {
 
 /// Classifies `statement` for strategy selection. Deterministic: equal
 /// templates always classify identically, so tier assignment is
-/// shard-count- and worker-count-invariant.
+/// worker-count- and registration-order-invariant.
 TemplateShape ClassifyTemplateShape(const SelectStatement& statement);
 
 }  // namespace cacheportal::sql

@@ -415,8 +415,8 @@ TEST_F(NaNBindTest, IntsBeyondTwoTo53AreNeverExcludedThroughTiedKeys) {
 
 // ---------------------------------------------------------------------------
 // Differential sweep: the columnar pipeline must produce byte-identical
-// ejected pages, cycle summaries, and StatsReport() at every
-// (workers x shards) point, equal to the outputs pinned below
+// ejected pages, cycle summaries, and StatsReport() at every worker
+// count, equal to the outputs pinned below
 // (pinned_run.h), and eject a superset of what the re-executing
 // BaselineInvalidator finds stale in every round.
 // ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ struct MatrixResult {
   std::string stats_report;
 };
 
-MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers) {
+MatrixResult RunBatchScenario(uint64_t seed, size_t workers) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -471,7 +471,6 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers) {
 
   sniffer::QiUrlMap map;
   InvalidatorOptions options;
-  options.metadata_shards = shards;
   options.worker_threads = workers;
   options.max_polls_per_cycle = 3;  // Budget pressure: condemnations.
   options.polling_cache_capacity = 8;
@@ -568,8 +567,7 @@ MatrixResult RunBatchScenario(uint64_t seed, size_t shards, size_t workers) {
   return result;
 }
 
-// The per-tuple probe path's outputs, seeds 1-11, at shards=1,
-// workers=1: per-round ejects and ReportKey()s. Re-recorded when
+// The per-tuple probe path's outputs, seeds 1-11, at workers=1: per-round ejects and ReportKey()s. Re-recorded when
 // delta-join decomposition replaced the multi-table guard; the ejects
 // that dropped out are kept below.
 const PinnedRun kScalarRuns[] = {
@@ -701,16 +699,14 @@ TEST_P(BatchDifferentialTest, ReproducesPinnedRunsAcrossTheMatrix) {
   for (const auto& cycle : pinned.ejected) total += cycle.size();
   EXPECT_GT(total, 0u);
 
-  for (size_t shards : {1u, 4u}) {
-    for (size_t workers : {1u, 4u}) {
-      SCOPED_TRACE(StrCat("shards=", shards, " workers=", workers));
-      MatrixResult got = RunBatchScenario(GetParam(), shards, workers);
-      ExpectReproduces(pinned, got.cycle_invalidated, got.cycle_reports,
-                       got.stats_report);
-      ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects, got.changed);
-      if (GetParam() == 1) {
-        EXPECT_EQ(got.stats_report, kSeed1Report);
-      }
+  for (size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(StrCat("workers=", workers));
+    MatrixResult got = RunBatchScenario(GetParam(), workers);
+    ExpectReproduces(pinned, got.cycle_invalidated, got.cycle_reports,
+                     got.stats_report);
+    ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects, got.changed);
+    if (GetParam() == 1) {
+      EXPECT_EQ(got.stats_report, kSeed1Report);
     }
   }
 }

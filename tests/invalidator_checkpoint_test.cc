@@ -131,14 +131,13 @@ TEST(InvalidatorCheckpointTest, RestoreRejectsCorruptNumericFields) {
       corrupt(seq_line, "update_seq 18446744073709551616"),  // 2^64.
       corrupt(seq_line, "update_seq -3"),
       corrupt(seq_line, StrCat("update_seq ", seq_before, "junk")),
-      // Shard records: garbled count, zero shards, non-numeric cursor
-      // index, duplicate cursor (which also breaks the declared count),
-      // and a count that disagrees with the cursor lines present.
-      corrupt("shards 4", "shards foo"),
-      corrupt("shards 4", "shards 0"),
-      corrupt("shard_map_id 0", "shard_map_id x"),
-      corrupt("shard_map_id 1", "shard_map_id 0"),
-      corrupt("shards 4", "shards 5"),
+      // The map cursor: garbled, missing, repeated, with an extra
+      // field, and replaced by the shard count that preceded it.
+      corrupt("map_cursor 0", "map_cursor x"),
+      corrupt("map_cursor 0\n", ""),
+      corrupt("map_cursor 0", "map_cursor 0\nmap_cursor 0"),
+      corrupt("map_cursor 0", "map_cursor 0 0"),
+      corrupt("map_cursor 0", "shards 1"),
       // The retired single-cursor `map_id` record is unknown now.
       corrupt(seq_line, StrCat(seq_line, "\nmap_id 0")),
       corrupt(seq_line, StrCat(seq_line, "\nsink x 5")),
@@ -155,44 +154,33 @@ TEST(InvalidatorCheckpointTest, RestoreRejectsCorruptNumericFields) {
   EXPECT_EQ(inv.consumed_update_seq(), seq_before);
 }
 
-/// Round trip: a snapshot carries one QI/URL-map cursor per metadata
-/// shard PLUS the full registry (types + instance SQLs + strategy
-/// tiers), and restores into a process with a DIFFERENT live
-/// shard count (the persisted partitioning never constrains the new
-/// configuration — mismatched cursors fall back to the minimum position,
-/// and the snapshot's own instances rebuild the registry without a
-/// rescan).
-TEST(InvalidatorCheckpointTest, RoundTripsAcrossShardCounts) {
+/// Round trip: a snapshot carries the QI/URL-map cursor PLUS the full
+/// registry (types + instance SQLs + strategy tiers), and a fresh
+/// invalidator restored from it rebuilds the registry from the
+/// snapshot's own instances, without a rescan.
+TEST(InvalidatorCheckpointTest, RoundTripsCursorAndRegistry) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
   sniffer::QiUrlMap map;
   map.Add("SELECT * FROM Car WHERE price < 20000", "shop/cheap?##", "/r", 0);
 
-  InvalidatorOptions three;
-  three.metadata_shards = 3;
-  Invalidator inv(&db, &map, &clock, three);
+  Invalidator inv(&db, &map, &clock);
   inv.RunCycle().value();
   std::string checkpoint = inv.Checkpoint();
-  EXPECT_NE(checkpoint.find("cacheportal-invalidator-checkpoint 6\n"),
+  EXPECT_NE(checkpoint.find("cacheportal-invalidator-checkpoint 7\n"),
             std::string::npos);
-  EXPECT_NE(checkpoint.find("shards 3\n"), std::string::npos);
-  // All three cursors advanced in lockstep to the scanned map row.
-  for (int shard = 0; shard < 3; ++shard) {
-    EXPECT_NE(checkpoint.find(
-                  StrCat("shard_map_id ", shard, " ", map.LastId(), "\n")),
-              std::string::npos)
-        << checkpoint;
-  }
+  // The cursor advanced to the scanned map row.
+  EXPECT_NE(checkpoint.find(StrCat("\nmap_cursor ", map.LastId(), "\n")),
+            std::string::npos)
+      << checkpoint;
   // The registry travels in the snapshot: the instance's SQL is there.
   EXPECT_NE(checkpoint.find("SELECT * FROM Car WHERE price < 20000"),
             std::string::npos);
 
   db.ExecuteSql("INSERT INTO Car VALUES ('Honda', 'Civic', 15000)").value();
   RecordingSink sink;
-  InvalidatorOptions two;
-  two.metadata_shards = 2;
-  Invalidator inv2(&db, &map, &clock, two);
+  Invalidator inv2(&db, &map, &clock);
   inv2.AddSink(&sink);
   ASSERT_TRUE(inv2.Restore(checkpoint).ok());
   // The instance is staged, not parsed yet; the first cycle drains it.
@@ -221,7 +209,7 @@ TEST(InvalidatorCheckpointTest, RestoresCursorsWithoutRescan) {
   inv2.RunCycle().value();
   // Cursor restored past the existing row: the map scan absorbed nothing
   // new, yet the registry is whole (rebuilt from the snapshot itself).
-  EXPECT_EQ(inv2.metadata().MinMapCursor(), map.LastId());
+  EXPECT_EQ(inv2.metadata().MapCursor(), map.LastId());
   EXPECT_EQ(inv2.metadata().NumInstances(), 1u);
   // Give the original the same second (empty) cycle, then the reports —
   // per-type statistics included — must be byte-identical: the restored
@@ -247,17 +235,13 @@ TEST(InvalidatorCheckpointTest, RestoredTiersAreByteIdentical) {
       "shop/epa?##", "/r", 0);
   map.Add("SELECT * FROM Car WHERE maker LIKE 'F%'", "shop/f?##", "/r", 0);
 
-  InvalidatorOptions three;
-  three.metadata_shards = 3;
-  Invalidator inv(&db, &map, &clock, three);
+  Invalidator inv(&db, &map, &clock);
   inv.RunCycle().value();
   std::map<uint64_t, TierDecision> before = inv.metadata().TierAssignments();
   ASSERT_EQ(before.size(), 3u);
   std::string checkpoint = inv.Checkpoint();
 
-  InvalidatorOptions two;
-  two.metadata_shards = 2;
-  Invalidator inv2(&db, &map, &clock, two);
+  Invalidator inv2(&db, &map, &clock);
   ASSERT_TRUE(inv2.Restore(checkpoint).ok());
   std::map<uint64_t, TierDecision> after = inv2.metadata().TierAssignments();
   ASSERT_EQ(after.size(), before.size());
@@ -282,8 +266,8 @@ TEST(InvalidatorCheckpointTest, RestoreRejectsOutOfRangeTier) {
           .value();
   const std::string name = "Q1";
   auto snapshot = [&](int tier) {
-    return StrCat("cacheportal-invalidator-checkpoint 6\n", "update_seq 0\n",
-                  "shards 1\n", "shard_map_id 0 0\n",
+    return StrCat("cacheportal-invalidator-checkpoint 7\n", "update_seq 0\n",
+                  "map_cursor 0\n",
                   "stats 0 0 0 0 0 0 0 0 0 0 0 0 0 0\n", "type ",
                   tmpl.type_id, " 1 0 0 0 0 0 0\n", "type_counter 1\n",
                   "type_def ", tmpl.type_id, " ", tier, " ", name.size(),
@@ -335,9 +319,7 @@ TEST(InvalidatorCheckpointTest, CorruptSnapshotsAndDeltasChangeNothing) {
   dopts.max_attempts = 50;
   core::ReliableDeliveryQueue source_queue(&clock, dopts);
   source_queue.AddSink(&down, "edge");
-  InvalidatorOptions two;
-  two.metadata_shards = 2;
-  Invalidator source(&db, &map, &clock, two);
+  Invalidator source(&db, &map, &clock);
   source.AddSink(&source_queue);
   source.RunCycle().value();
   db.ExecuteSql("INSERT INTO Car VALUES ('Kia', 'Rio', 8000)").value();
@@ -355,7 +337,7 @@ TEST(InvalidatorCheckpointTest, CorruptSnapshotsAndDeltasChangeNothing) {
   core::ReliableDeliveryQueue target_queue(&clock, dopts);
   RecordingSink healthy;
   target_queue.AddSink(&healthy, "edge");
-  Invalidator target(&db, &map, &clock, two);
+  Invalidator target(&db, &map, &clock);
   target.AddSink(&target_queue);
   target.RunCycle().value();
   const uint64_t seq_before = target.consumed_update_seq();
@@ -369,12 +351,26 @@ TEST(InvalidatorCheckpointTest, CorruptSnapshotsAndDeltasChangeNothing) {
   // parser back on the `end` that follows.
   const std::string wrap_before_end = StrCat(
       snapshot.substr(0, snapshot.rfind("end\n")), "instance ", max, "\nend\n");
+  // The previous format: a `shards 4` count where `map_cursor` now
+  // stands, under a magic one lower.
+  auto previous_format = [](const std::string& blob,
+                            const std::string& magic) {
+    const std::string body = blob.substr(blob.find('\n') + 1);
+    return StrCat(magic, "\n", ReplaceLine(body, "map_cursor ", "shards 4"));
+  };
   std::vector<std::string> bad_snapshots = LineTruncations(snapshot);
   bad_snapshots.push_back(wrap_before_end);
-  for (int old : {1, 3, 4, 5}) {
+  for (int old : {1, 3, 4, 5, 6}) {
     bad_snapshots.push_back(
         StrCat("cacheportal-invalidator-checkpoint ", old, "\n", body));
   }
+  bad_snapshots.push_back(
+      previous_format(snapshot, "cacheportal-invalidator-checkpoint 6"));
+  bad_snapshots.push_back(
+      ReplaceLine(snapshot, "map_cursor ", "map_cursor 1 2"));
+  bad_snapshots.push_back(ReplaceLine(snapshot, "map_cursor ", "map_cursor"));
+  bad_snapshots.push_back(
+      ReplaceLine(snapshot, "map_cursor ", "map_cursor 1\nmap_cursor 1"));
   bad_snapshots.push_back(delta);
   bad_snapshots.push_back(ReplaceLine(snapshot, "instance ",
                                       StrCat("instance ", max)));
@@ -406,8 +402,19 @@ TEST(InvalidatorCheckpointTest, CorruptSnapshotsAndDeltasChangeNothing) {
       ReplaceLine(delta, "sink 0 ", StrCat("sink 0 ", max)));
   bad_deltas.push_back(before_end(StrCat("sink 1 ", max, "\n")));
   bad_deltas.push_back(ReplaceLine(delta, "stats ", "stats 1 2 3"));
-  bad_deltas.push_back(ReplaceLine(delta, "shards ", "shards 3"));
-  for (int old : {1, 3, 4, 5}) {
+  bad_deltas.push_back(ReplaceLine(delta, "map_cursor ", "map_cursor 1x"));
+  bad_deltas.push_back(ReplaceLine(delta, "map_cursor ", "map_cursor -1"));
+  {
+    std::string missing = delta;  // The required cursor dropped.
+    const size_t at = missing.find("\nmap_cursor ") + 1;
+    missing.erase(at, missing.find('\n', at) + 1 - at);
+    bad_deltas.push_back(missing);
+  }
+  bad_deltas.push_back(
+      previous_format(delta, "cacheportal-invalidator-delta 1"));
+  bad_deltas.push_back(StrCat("cacheportal-invalidator-delta 1\n",
+                              delta.substr(delta.find('\n') + 1)));
+  for (int old : {1, 3, 4, 5, 6}) {
     bad_deltas.push_back(StrCat("cacheportal-invalidator-checkpoint ", old,
                                 "\n", delta.substr(delta.find('\n') + 1)));
   }

@@ -53,7 +53,6 @@ TEST(InvalidatorConcurrentTest, RegistrationStreamsWhileCyclesRun) {
                   .ok());
   sniffer::QiUrlMap map;
   InvalidatorOptions options;
-  options.metadata_shards = 4;
   options.worker_threads = 2;
   Invalidator inv(&db, &map, &clock, options);
   ConcurrentRecordingSink sink;
@@ -63,8 +62,8 @@ TEST(InvalidatorConcurrentTest, RegistrationStreamsWhileCyclesRun) {
   const char* columns[] = {"a", "b", "c", "d"};
   auto sql_for = [&columns](int i) {
     // Four query types (one per column), many instances each — the
-    // stream spreads across metadata shards and keeps compiling new
-    // bind values into existing types.
+    // stream keeps compiling new types and new bind values into existing
+    // ones, all through the metadata plane's one lock.
     return StrCat("SELECT * FROM T WHERE ", columns[i % 4], " < ", i + 1);
   };
   auto page_for = [](int i) { return StrCat("shop/p", i, "?##"); };

@@ -116,7 +116,7 @@ struct JoinDeltaRun {
   MatcherStats matcher;
 };
 
-JoinDeltaRun RunJoinDeltaWorld(uint64_t seed, size_t workers, size_t shards) {
+JoinDeltaRun RunJoinDeltaWorld(uint64_t seed, size_t workers) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -143,7 +143,6 @@ JoinDeltaRun RunJoinDeltaWorld(uint64_t seed, size_t workers, size_t shards) {
   }
   InvalidatorOptions options;
   options.worker_threads = workers;
-  options.metadata_shards = shards;
   sniffer::QiUrlMap map;
   RecordingSink sink;
   Invalidator inv(&db, &map, &clock, options);
@@ -205,11 +204,10 @@ JoinDeltaRun RunJoinDeltaWorld(uint64_t seed, size_t workers, size_t shards) {
 TEST(JoinDeltaPropertyTest, EveryChangedPageIsEjected) {
   uint64_t pairs = 0;
   uint64_t hits = 0;
-  for (auto [workers, shards] : {std::pair<size_t, size_t>{1, 1}, {4, 4}}) {
+  for (size_t workers : {1u, 4u}) {
     for (uint64_t seed = 1; seed <= 150; ++seed) {
-      SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers, " shards ",
-                          shards));
-      JoinDeltaRun run = RunJoinDeltaWorld(seed, workers, shards);
+      SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers));
+      JoinDeltaRun run = RunJoinDeltaWorld(seed, workers);
       EXPECT_TRUE(run.stale.empty()) << StrJoin(run.stale, "\n");
       EXPECT_GT(run.ejects, 0u);
       pairs += run.matcher.delta_join_pairs;

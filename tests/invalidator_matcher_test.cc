@@ -41,7 +41,7 @@ class RecordingSink : public InvalidationSink {
 // Differential test: the compiled matcher (bind-value indexes) is a pure
 // pruning layer, so on random workloads every cycle must eject the pages
 // the interpreted walk ejected, with the same per-cycle summaries and a
-// byte-identical final StatsReport(), at any (workers x shards). The
+// byte-identical final StatsReport(), at any worker count. The
 // interpreted walk's outputs are pinned as literals (pinned_run.h). The
 // workload is generated independently of the invalidator's behavior so the
 // runs are comparable.
@@ -56,8 +56,7 @@ struct WorldResult {
   MatcherStats matcher;
 };
 
-WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards,
-                     bool consolidate) {
+WorldResult RunWorld(uint64_t seed, size_t workers, bool consolidate) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -133,7 +132,6 @@ WorldResult RunWorld(uint64_t seed, size_t workers, size_t shards,
   RecordingSink sink;
   InvalidatorOptions options;
   options.worker_threads = workers;
-  options.metadata_shards = shards;
   options.consolidate_polls = consolidate;
   Invalidator inv(&db, &map, &clock, options);
   inv.AddSink(&sink);
@@ -280,22 +278,17 @@ TEST_P(MatcherDifferentialTest, CompiledReproducesInterpretedAtAnyWorkerCount) {
   const PinnedRun& pinned = kInterpretedWorlds[seed - 1];
   ASSERT_EQ(pinned.seed, seed);
   uint64_t total_excluded = 0;
-  for (size_t shards : {1u, 4u}) {
-    for (size_t workers : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(StrCat("seed ", seed, " shards ", shards, " workers ",
-                          workers));
-      WorldResult compiled = RunWorld(seed, workers, shards,
-                                      /*consolidate=*/false);
-      ExpectReproduces(pinned, compiled.ejected, compiled.summaries,
-                       compiled.final_report);
-      ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects,
-                                   compiled.changed);
-      if (seed == 1) {
-        EXPECT_EQ(compiled.final_report, kSeed1Report);
-      }
-      EXPECT_GT(compiled.matcher.types_compiled, 0u);
-      total_excluded += compiled.matcher.tuples_excluded;
+  for (size_t workers : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers));
+    WorldResult compiled = RunWorld(seed, workers, /*consolidate=*/false);
+    ExpectReproduces(pinned, compiled.ejected, compiled.summaries,
+                     compiled.final_report);
+    ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects, compiled.changed);
+    if (seed == 1) {
+      EXPECT_EQ(compiled.final_report, kSeed1Report);
     }
+    EXPECT_GT(compiled.matcher.types_compiled, 0u);
+    total_excluded += compiled.matcher.tuples_excluded;
   }
   // The suite as a whole must exercise real exclusions; individual seeds
   // may legitimately have none (all-fallback instance pools).
@@ -304,10 +297,8 @@ TEST_P(MatcherDifferentialTest, CompiledReproducesInterpretedAtAnyWorkerCount) {
 
 TEST_P(MatcherDifferentialTest, ConsolidationPreservesEjectedPages) {
   const uint64_t seed = GetParam();
-  WorldResult separate = RunWorld(seed, /*workers=*/2, /*shards=*/4,
-                                  /*consolidate=*/false);
-  WorldResult merged = RunWorld(seed, /*workers=*/2, /*shards=*/4,
-                                /*consolidate=*/true);
+  WorldResult separate = RunWorld(seed, /*workers=*/2, /*consolidate=*/false);
+  WorldResult merged = RunWorld(seed, /*workers=*/2, /*consolidate=*/true);
   ASSERT_EQ(merged.ejected.size(), separate.ejected.size());
   for (size_t c = 0; c < separate.ejected.size(); ++c) {
     EXPECT_EQ(merged.ejected[c], separate.ejected[c])

@@ -53,8 +53,8 @@ std::string ReportKey(const CycleReport& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential matrix: the staged/sharded pipeline must produce
-// byte-identical decisions at every (shards x workers) point, equal to
+// Differential matrix: the staged pipeline must produce
+// byte-identical decisions at every worker count, equal to
 // the interpreted walk's outputs pinned below (pinned_run.h).
 // ---------------------------------------------------------------------------
 
@@ -66,7 +66,7 @@ struct MatrixResult {
   std::string stats_report;
 };
 
-MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
+MatrixResult RunMatrixScenario(uint64_t seed, size_t workers) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -88,7 +88,6 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
 
   sniffer::QiUrlMap map;
   InvalidatorOptions options;
-  options.metadata_shards = shards;
   options.worker_threads = workers;
   options.max_polls_per_cycle = 2;  // Budget pressure: condemnations.
   options.polling_cache_capacity = 8;
@@ -97,8 +96,7 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
   RecordingSink sink;
   inv.AddSink(&sink);
 
-  // Ten instances over five distinct query types, so two and four shards
-  // genuinely split the metadata (one type would collapse to one shard).
+  // Ten instances over five distinct query types.
   std::vector<std::string> sqls;
   for (int i = 0; i < 10; ++i) {
     switch (i % 5) {
@@ -176,7 +174,7 @@ MatrixResult RunMatrixScenario(uint64_t seed, size_t shards, size_t workers) {
   return result;
 }
 
-// The interpreted walk's outputs, seeds 1-11, at shards=1, workers=1:
+// The interpreted walk's outputs, seeds 1-11, at workers=1:
 // per-round ejects and ReportKey()s. Re-recorded when delta-join
 // decomposition replaced the multi-table guard; the ejects that dropped
 // out are kept below.
@@ -275,7 +273,7 @@ constexpr char kSeed1Report[] = R"(invalidator: cycles=13 updates=20 checks=40 a
 
 class PipelineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PipelineDifferentialTest, ShardAndWorkerCountsDoNotChangeDecisions) {
+TEST_P(PipelineDifferentialTest, WorkerCountsDoNotChangeDecisions) {
   const PinnedRun& pinned = kInterpretedRuns[GetParam() - 1];
   ASSERT_EQ(pinned.seed, GetParam());
   // The scenario is non-trivial: something got invalidated.
@@ -283,16 +281,14 @@ TEST_P(PipelineDifferentialTest, ShardAndWorkerCountsDoNotChangeDecisions) {
   for (const auto& cycle : pinned.ejected) total += cycle.size();
   EXPECT_GT(total, 0u);
 
-  for (size_t shards : {1u, 2u, 4u}) {
-    for (size_t workers : {1u, 4u}) {
-      SCOPED_TRACE(StrCat("shards=", shards, " workers=", workers));
-      MatrixResult got = RunMatrixScenario(GetParam(), shards, workers);
-      ExpectReproduces(pinned, got.cycle_invalidated, got.cycle_reports,
-                       got.stats_report);
-      ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects, got.changed);
-      if (GetParam() == 1) {
-        EXPECT_EQ(got.stats_report, kSeed1Report);
-      }
+  for (size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(StrCat("workers=", workers));
+    MatrixResult got = RunMatrixScenario(GetParam(), workers);
+    ExpectReproduces(pinned, got.cycle_invalidated, got.cycle_reports,
+                     got.stats_report);
+    ExpectDroppedEjectsWereFalse(pinned, kGuardOnlyEjects, got.changed);
+    if (GetParam() == 1) {
+      EXPECT_EQ(got.stats_report, kSeed1Report);
     }
   }
 }
@@ -304,49 +300,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineDifferentialTest,
 // MetadataPlane unit tests.
 // ---------------------------------------------------------------------------
 
-TEST(MetadataPlaneTest, MergedIterationOrderIsShardCountInvariant) {
-  ManualClock clock;
-  db::Database db(&clock);
-  CreateCarTables(&db);
-  const std::vector<std::string> sqls = {
-      "SELECT * FROM Car WHERE price < 9000",
-      "SELECT * FROM Car WHERE price < 21000",
-      "SELECT * FROM Car WHERE maker = 'Toyota'",
-      "SELECT * FROM Car WHERE maker = 'Honda'",
-      "SELECT * FROM Car WHERE model = 'Civic'",
-      "SELECT * FROM Mileage WHERE EPA > 25",
-      "SELECT Car.model FROM Car, Mileage WHERE Car.model = Mileage.model "
-      "AND Car.price < 16000",
-  };
-  auto scan = [&sqls, &db](size_t shards) {
-    MetadataPlane plane(&db, shards, /*exact_strategy=*/true);
-    for (const std::string& sql_text : sqls) {
-      EXPECT_TRUE(plane.RegisterInstance(sql_text).ok()) << sql_text;
-    }
-    std::vector<std::pair<uint64_t, std::string>> order;
-    plane.ForEachInstance(
-        [&order](const QueryType& type, const QueryInstance& instance) {
-          order.emplace_back(type.type_id, instance.sql);
-        });
-    EXPECT_EQ(order.size(), sqls.size());
-    return order;
-  };
-  auto oracle = scan(1);
-  for (size_t shards : {2u, 3u, 4u, 8u}) {
-    SCOPED_TRACE(StrCat("shards=", shards));
-    EXPECT_EQ(scan(shards), oracle);
-  }
-  // And the merge really is ascending type_id.
-  for (size_t i = 1; i < oracle.size(); ++i) {
-    EXPECT_LE(oracle[i - 1].first, oracle[i].first);
-  }
-}
-
 TEST(MetadataPlaneTest, RegistrationIsIdempotentAndRetireRoutesBySql) {
   ManualClock clock;
   db::Database db(&clock);
   CreateCarTables(&db);
-  MetadataPlane plane(&db, 4, /*exact_strategy=*/true);
+  MetadataPlane plane(&db, /*exact_strategy=*/true);
   const std::string sql_text = "SELECT * FROM Car WHERE price < 9000";
 
   const QueryInstance* first = plane.RegisterInstance(sql_text).value();
@@ -356,7 +314,7 @@ TEST(MetadataPlaneTest, RegistrationIsIdempotentAndRetireRoutesBySql) {
   EXPECT_EQ(plane.NumIndexedInstances(), 1u);
   EXPECT_EQ(plane.FindInstance(sql_text), first);
 
-  // Retirement needs only the SQL: the route map finds the shard.
+  // Retirement needs only the SQL: the interner finds the instance.
   plane.RetireInstance(sql_text);
   EXPECT_EQ(plane.FindInstance(sql_text), nullptr);
   EXPECT_EQ(plane.NumInstances(), 0u);
@@ -371,25 +329,17 @@ TEST(MetadataPlaneTest, RegistrationIsIdempotentAndRetireRoutesBySql) {
   EXPECT_EQ(plane.NumIndexedInstances(), 1u);
 }
 
-TEST(MetadataPlaneTest, MapCursorsAdvanceInLockstepAndReset) {
+TEST(MetadataPlaneTest, MapCursorAdvancesAndResets) {
   ManualClock clock;
   db::Database db(&clock);
-  MetadataPlane plane(&db, 3, /*exact_strategy=*/true);
-  EXPECT_EQ(plane.MinMapCursor(), 0u);
-  plane.AdvanceMapCursors(7);
-  EXPECT_EQ(plane.MinMapCursor(), 7u);
-  EXPECT_EQ(plane.MapCursors(), (std::vector<uint64_t>{7, 7, 7}));
-  plane.AdvanceMapCursors(3);  // Never rewinds.
-  EXPECT_EQ(plane.MinMapCursor(), 7u);
-  plane.SetMapCursors({0, 0, 0});
-  EXPECT_EQ(plane.MapCursors(), (std::vector<uint64_t>{0, 0, 0}));
-}
-
-TEST(MetadataPlaneTest, ZeroShardsIsTreatedAsOne) {
-  ManualClock clock;
-  db::Database db(&clock);
-  MetadataPlane plane(&db, 0, /*exact_strategy=*/true);
-  EXPECT_EQ(plane.num_shards(), 1u);
+  MetadataPlane plane(&db, /*exact_strategy=*/true);
+  EXPECT_EQ(plane.MapCursor(), 0u);
+  plane.AdvanceMapCursor(7);
+  EXPECT_EQ(plane.MapCursor(), 7u);
+  plane.AdvanceMapCursor(3);  // Never rewinds.
+  EXPECT_EQ(plane.MapCursor(), 7u);
+  plane.SetMapCursor(0);
+  EXPECT_EQ(plane.MapCursor(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -438,9 +388,9 @@ TEST(StagePolicyTest, RungsResolveToKnobs) {
 
 /// Owns every component a StageEnv borrows, with nullable extras off.
 struct StageFixture {
-  explicit StageFixture(size_t shards = 2)
+  StageFixture()
       : db(&clock),
-        plane(&db, shards, /*exact_strategy=*/true, map.shared_ids()),
+        plane(&db, /*exact_strategy=*/true, map.shared_ids()),
         info(&db),
         scheduler(/*max_polls_per_cycle=*/0) {}
 
@@ -500,7 +450,7 @@ TEST(IngestStageTest, RegistersInstancesAndBuildsDeltas) {
   EXPECT_EQ(ctx.report.updates, 1u);
   EXPECT_EQ(ctx.report.new_instances, 1u);
   EXPECT_EQ(fx.plane.NumInstances(), 1u);
-  EXPECT_EQ(fx.plane.MinMapCursor(), fx.map.LastId());
+  EXPECT_EQ(fx.plane.MapCursor(), fx.map.LastId());
   ASSERT_EQ(ctx.merged.size(), 1u);
   EXPECT_EQ(ctx.merged[0].tuples.size(), 1u);
   EXPECT_EQ(fx.last_update_seq, fx.db.update_log().LastSeq());
@@ -547,8 +497,7 @@ TEST(IngestStageTest, UnchangedMapEpochSkipsTheScan) {
   EXPECT_EQ(fx.plane.NumInstances(), 2u);
 
   // nullopt (e.g. after Restore) forces a scan even at the same epoch.
-  fx.plane.SetMapCursors(
-      std::vector<uint64_t>(fx.plane.num_shards(), 0));
+  fx.plane.SetMapCursor(0);
   fx.plane.RetireInstance("SELECT * FROM T WHERE x < 10");
   fx.last_map_epoch.reset();
   fx.db.ExecuteSql("INSERT INTO T VALUES (7)").value();
@@ -894,7 +843,7 @@ TEST(MetadataPlaneIdTest, RetireThenReRegisterWithinACycleMintsAFreshId) {
   db::Database db(&clock);
   CreateCarTables(&db);
   sniffer::QiUrlMap map;
-  MetadataPlane plane(&db, 2, /*exact_strategy=*/true, map.shared_ids());
+  MetadataPlane plane(&db, /*exact_strategy=*/true, map.shared_ids());
   const std::string sql = "SELECT * FROM Car WHERE price < 1000";
   Result<const QueryInstance*> first = plane.RegisterInstance(sql);
   ASSERT_TRUE(first.ok());
@@ -911,10 +860,10 @@ TEST(MetadataPlaneIdTest, RetireThenReRegisterWithinACycleMintsAFreshId) {
   ASSERT_TRUE(again.ok());
   uint64_t new_id = (*again)->instance_id;
   EXPECT_NE(new_id, old_id);
-  plane.WithShardOfType(type_id, [&](MetadataPlane::Shard& shard) {
-    EXPECT_TRUE(shard.bind_index.ContainsInstance(new_id));
-    EXPECT_FALSE(shard.bind_index.ContainsInstance(old_id));
-    EXPECT_EQ(shard.bind_index.IndexedCountOfType(type_id), 1u);
+  plane.With([&](MetadataPlane::State& state) {
+    EXPECT_TRUE(state.bind_index.ContainsInstance(new_id));
+    EXPECT_FALSE(state.bind_index.ContainsInstance(old_id));
+    EXPECT_EQ(state.bind_index.IndexedCountOfType(type_id), 1u);
   });
 
   // After the next cycle's Reclaim the old id may name other text; the
@@ -972,7 +921,7 @@ struct JoinWorldCycle {
 };
 
 std::vector<JoinWorldCycle> RunJoinWorld(uint64_t seed, size_t workers,
-                                         size_t shards, bool mixed) {
+                                         bool mixed) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -1001,7 +950,6 @@ std::vector<JoinWorldCycle> RunJoinWorld(uint64_t seed, size_t workers,
   sniffer::QiUrlMap map;
   InvalidatorOptions options;
   options.worker_threads = workers;
-  options.metadata_shards = shards;
   Invalidator inv(&db, &map, &clock, options);
   RecordingSink sink;
   inv.AddSink(&sink);
@@ -1102,11 +1050,10 @@ class JoinWorldTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(JoinWorldTest, EjectsPinnedPagesLeavesNoStalePageAndPollsOnlyMatches) {
   const uint64_t seed = GetParam();
-  for (auto [workers, shards] : {std::pair<size_t, size_t>{1, 1}, {4, 4}}) {
-    SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers, " shards ",
-                        shards));
+  for (size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers));
     std::vector<JoinWorldCycle> cycles =
-        RunJoinWorld(seed, workers, shards, /*mixed=*/false);
+        RunJoinWorld(seed, workers, /*mixed=*/false);
     const std::vector<std::set<int>>& pinned = kJoinWorldEjected[seed - 1];
     ASSERT_EQ(cycles.size(), pinned.size());
     for (size_t c = 0; c < cycles.size(); ++c) {
@@ -1126,11 +1073,10 @@ TEST_P(JoinWorldTest, EjectsPinnedPagesLeavesNoStalePageAndPollsOnlyMatches) {
 
 TEST_P(JoinWorldTest, MixedBatchesLeaveNoStalePage) {
   const uint64_t seed = GetParam();
-  for (auto [workers, shards] : {std::pair<size_t, size_t>{1, 1}, {4, 4}}) {
-    SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers, " shards ",
-                        shards));
+  for (size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers));
     std::vector<JoinWorldCycle> cycles =
-        RunJoinWorld(seed, workers, shards, /*mixed=*/true);
+        RunJoinWorld(seed, workers, /*mixed=*/true);
     size_t ejected = 0;
     for (size_t c = 0; c < cycles.size(); ++c) {
       EXPECT_TRUE(cycles[c].stale.empty()) << "cycle " << c;

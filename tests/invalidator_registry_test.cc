@@ -162,10 +162,9 @@ TEST(PolicyTest, ProcessingTimeThreshold) {
 // InvalidationScheduler
 // ---------------------------------------------------------------------
 
-PollingTask Task(const std::string& sql, Micros deadline, size_t pages) {
+PollingTask Task(const std::string& sql, size_t pages) {
   PollingTask task;
   task.instance_sql = sql;
-  task.deadline = deadline;
   task.affected_pages = pages;
   return task;
 }
@@ -173,21 +172,21 @@ PollingTask Task(const std::string& sql, Micros deadline, size_t pages) {
 TEST(SchedulerTest, UnlimitedBudgetPollsEverything) {
   InvalidationScheduler scheduler(0);
   std::vector<PollingTask> tasks;
-  tasks.push_back(Task("a", 10, 1));
-  tasks.push_back(Task("b", 5, 1));
+  tasks.push_back(Task("a", 1));
+  tasks.push_back(Task("b", 5));
   auto schedule = scheduler.Build(std::move(tasks));
   EXPECT_EQ(schedule.to_poll.size(), 2u);
   EXPECT_TRUE(schedule.conservative.empty());
-  // Earliest deadline first.
+  // Most pages at stake first.
   EXPECT_EQ(schedule.to_poll[0].instance_sql, "b");
 }
 
 TEST(SchedulerTest, BudgetOverflowGoesConservative) {
   InvalidationScheduler scheduler(2);
   std::vector<PollingTask> tasks;
-  tasks.push_back(Task("a", 10, 1));
-  tasks.push_back(Task("b", 10, 9));  // More pages at stake: prioritized.
-  tasks.push_back(Task("c", 10, 5));
+  tasks.push_back(Task("a", 1));
+  tasks.push_back(Task("b", 9));  // More pages at stake: prioritized.
+  tasks.push_back(Task("c", 5));
   auto schedule = scheduler.Build(std::move(tasks));
   ASSERT_EQ(schedule.to_poll.size(), 2u);
   EXPECT_EQ(schedule.to_poll[0].instance_sql, "b");

@@ -10,12 +10,10 @@
 namespace cacheportal::invalidator {
 namespace {
 
-PollingTask MakeTask(const std::string& instance_sql, Micros deadline,
-                     size_t affected_pages) {
+PollingTask MakeTask(const std::string& instance_sql, size_t affected_pages) {
   PollingTask task;
   task.instance_sql = instance_sql;
   task.query = sql::Parser::ParseSelect("SELECT * FROM T").value();
-  task.deadline = deadline;
   task.affected_pages = affected_pages;
   return task;
 }
@@ -33,9 +31,9 @@ std::vector<std::string> InstanceOrder(const std::vector<PollingTask>& tasks) {
 TEST(SchedulerTest, UnlimitedBudgetAdmitsEverything) {
   InvalidationScheduler scheduler(0);
   std::vector<PollingTask> tasks;
-  tasks.push_back(MakeTask("A", 10, 1));
-  tasks.push_back(MakeTask("B", 20, 1));
-  tasks.push_back(MakeTask("A", 10, 1));
+  tasks.push_back(MakeTask("A", 1));
+  tasks.push_back(MakeTask("B", 1));
+  tasks.push_back(MakeTask("A", 1));
   auto schedule = scheduler.Build(std::move(tasks));
   EXPECT_EQ(schedule.to_poll.size(), 3u);
   EXPECT_TRUE(schedule.conservative.empty());
@@ -48,13 +46,13 @@ TEST(SchedulerTest, UnlimitedBudgetAdmitsEverything) {
 TEST(SchedulerTest, NeverSplitsAnInstanceAcrossTheBudget) {
   InvalidationScheduler scheduler(3);
   std::vector<PollingTask> tasks;
-  tasks.push_back(MakeTask("A", 10, 5));
-  tasks.push_back(MakeTask("A", 10, 5));
-  tasks.push_back(MakeTask("B", 20, 5));
-  tasks.push_back(MakeTask("B", 20, 5));
+  tasks.push_back(MakeTask("A", 6));
+  tasks.push_back(MakeTask("A", 6));
+  tasks.push_back(MakeTask("B", 5));
+  tasks.push_back(MakeTask("B", 5));
   auto schedule = scheduler.Build(std::move(tasks));
 
-  // A (earlier deadline) fits whole; B's pair would blow the budget, so
+  // A (more pages at stake) fits whole; B's pair would blow the budget, so
   // B is condemned whole — NOT one poll admitted and one condemned.
   ASSERT_EQ(schedule.to_poll.size(), 2u);
   EXPECT_EQ(schedule.to_poll[0].instance_sql, "A");
@@ -69,9 +67,9 @@ TEST(SchedulerTest, NeverSplitsAnInstanceAcrossTheBudget) {
 TEST(SchedulerTest, CondemnedInstanceAppearsOnce) {
   InvalidationScheduler scheduler(1);
   std::vector<PollingTask> tasks;
-  tasks.push_back(MakeTask("A", 10, 1));
-  tasks.push_back(MakeTask("A", 10, 1));
-  tasks.push_back(MakeTask("A", 10, 1));
+  tasks.push_back(MakeTask("A", 1));
+  tasks.push_back(MakeTask("A", 1));
+  tasks.push_back(MakeTask("A", 1));
   auto schedule = scheduler.Build(std::move(tasks));
   EXPECT_TRUE(schedule.to_poll.empty());
   ASSERT_EQ(schedule.conservative.size(), 1u);
@@ -84,11 +82,11 @@ TEST(SchedulerTest, CondemnedInstanceAppearsOnce) {
 TEST(SchedulerTest, LaterSmallerGroupFillsRemainingBudget) {
   InvalidationScheduler scheduler(3);
   std::vector<PollingTask> tasks;
-  tasks.push_back(MakeTask("A", 10, 9));
-  tasks.push_back(MakeTask("A", 10, 9));
-  tasks.push_back(MakeTask("B", 20, 9));
-  tasks.push_back(MakeTask("B", 20, 9));
-  tasks.push_back(MakeTask("C", 30, 9));
+  tasks.push_back(MakeTask("A", 9));
+  tasks.push_back(MakeTask("A", 9));
+  tasks.push_back(MakeTask("B", 8));
+  tasks.push_back(MakeTask("B", 8));
+  tasks.push_back(MakeTask("C", 7));
   auto schedule = scheduler.Build(std::move(tasks));
 
   EXPECT_EQ(InstanceOrder(schedule.to_poll),
@@ -98,15 +96,15 @@ TEST(SchedulerTest, LaterSmallerGroupFillsRemainingBudget) {
   EXPECT_EQ(schedule.conservative[0].instance_sql, "B");
 }
 
-TEST(SchedulerTest, OrdersByDeadlineThenPagesAtStake) {
+TEST(SchedulerTest, OrdersByPagesAtStake) {
   InvalidationScheduler scheduler(0);
   std::vector<PollingTask> tasks;
-  tasks.push_back(MakeTask("late-small", 30, 1));
-  tasks.push_back(MakeTask("early", 10, 1));
-  tasks.push_back(MakeTask("late-big", 30, 50));
+  tasks.push_back(MakeTask("small", 1));
+  tasks.push_back(MakeTask("mid", 10));
+  tasks.push_back(MakeTask("big", 50));
   auto schedule = scheduler.Build(std::move(tasks));
   EXPECT_EQ(InstanceOrder(schedule.to_poll),
-            (std::vector<std::string>{"early", "late-big", "late-small"}));
+            (std::vector<std::string>{"big", "mid", "small"}));
 }
 
 /// An instance's polls arrive contiguously in to_poll even when the
@@ -115,10 +113,10 @@ TEST(SchedulerTest, OrdersByDeadlineThenPagesAtStake) {
 TEST(SchedulerTest, GroupsInstancePollsContiguously) {
   InvalidationScheduler scheduler(0);
   std::vector<PollingTask> tasks;
-  tasks.push_back(MakeTask("A", 10, 1));
-  tasks.push_back(MakeTask("B", 10, 1));
-  tasks.push_back(MakeTask("A", 10, 1));
-  tasks.push_back(MakeTask("B", 10, 1));
+  tasks.push_back(MakeTask("A", 1));
+  tasks.push_back(MakeTask("B", 1));
+  tasks.push_back(MakeTask("A", 1));
+  tasks.push_back(MakeTask("B", 1));
   auto schedule = scheduler.Build(std::move(tasks));
   ASSERT_EQ(schedule.to_poll.size(), 4u);
   std::vector<std::string> order = InstanceOrder(schedule.to_poll);

@@ -246,8 +246,7 @@ TEST_F(ExactRuleTest, MalformedPairEjectsConservatively) {
 // ---------------------------------------------------------------------------
 // Differential property (the tentpole's correctness gate): twin worlds —
 // exact tier on vs off — over seeded random workloads with UPDATEs split
-// between selected and unselected columns, at {1,4} workers x {1,4}
-// metadata shards. Per cycle: (a) the exact run's ejects are a SUBSET of
+// between selected and unselected columns, at {1,4} workers. Per cycle: (a) the exact run's ejects are a SUBSET of
 // the conservative run's (the tier only removes false ejects), and
 // (b) the re-execution oracle finds ZERO stale retentions (every page
 // whose result actually changed was ejected). Exact-only workloads
@@ -261,8 +260,7 @@ struct StrategyWorld {
   std::string final_report;
 };
 
-StrategyWorld RunStrategyWorld(uint64_t seed, bool exact, size_t workers,
-                               size_t shards) {
+StrategyWorld RunStrategyWorld(uint64_t seed, bool exact, size_t workers) {
   Random rng(seed);
   ManualClock clock;
   db::Database db(&clock);
@@ -316,7 +314,6 @@ StrategyWorld RunStrategyWorld(uint64_t seed, bool exact, size_t workers,
   InvalidatorOptions options;
   options.exact_strategy = exact;
   options.worker_threads = workers;
-  options.metadata_shards = shards;
   Invalidator inv(&db, &map, &clock, options);
   inv.AddSink(&sink);
   BaselineInvalidator oracle(&db, &map);
@@ -384,32 +381,28 @@ TEST_P(StrategyDifferentialTest, ExactIsSubsetOfConservativeAndNeverStale) {
   const uint64_t seed = GetParam();
   uint64_t retained = 0;
   for (size_t workers : {1u, 4u}) {
-    for (size_t shards : {1u, 4u}) {
-      SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers, " shards ",
-                          shards));
-      StrategyWorld conservative =
-          RunStrategyWorld(seed, /*exact=*/false, workers, shards);
-      StrategyWorld precise =
-          RunStrategyWorld(seed, /*exact=*/true, workers, shards);
-      ASSERT_EQ(precise.ejected.size(), conservative.ejected.size());
-      for (size_t c = 0; c < precise.ejected.size(); ++c) {
-        // (a) Subset: the exact tier removes ejects, never adds them.
-        for (const std::string& page : precise.ejected[c]) {
-          EXPECT_TRUE(conservative.ejected[c].contains(page))
-              << "cycle " << c << ": exact ejected '" << page
-              << "' but the conservative pipeline did not";
-        }
-        // (b) Zero stale retention: every page whose re-executed result
-        // changed was ejected by the exact run.
-        for (const std::string& page : precise.oracle_stale[c]) {
-          EXPECT_TRUE(precise.ejected[c].contains(page))
-              << "cycle " << c << ": STALE RETENTION of '" << page << "'";
-        }
-        retained += conservative.ejected[c].size() - precise.ejected[c].size();
+    SCOPED_TRACE(StrCat("seed ", seed, " workers ", workers));
+    StrategyWorld conservative =
+        RunStrategyWorld(seed, /*exact=*/false, workers);
+    StrategyWorld precise = RunStrategyWorld(seed, /*exact=*/true, workers);
+    ASSERT_EQ(precise.ejected.size(), conservative.ejected.size());
+    for (size_t c = 0; c < precise.ejected.size(); ++c) {
+      // (a) Subset: the exact tier removes ejects, never adds them.
+      for (const std::string& page : precise.ejected[c]) {
+        EXPECT_TRUE(conservative.ejected[c].contains(page))
+            << "cycle " << c << ": exact ejected '" << page
+            << "' but the conservative pipeline did not";
       }
-      // The workload is exact-only: the exact run never polls.
-      EXPECT_EQ(precise.polls_issued, 0u);
+      // (b) Zero stale retention: every page whose re-executed result
+      // changed was ejected by the exact run.
+      for (const std::string& page : precise.oracle_stale[c]) {
+        EXPECT_TRUE(precise.ejected[c].contains(page))
+            << "cycle " << c << ": STALE RETENTION of '" << page << "'";
+      }
+      retained += conservative.ejected[c].size() - precise.ejected[c].size();
     }
+    // The workload is exact-only: the exact run never polls.
+    EXPECT_EQ(precise.polls_issued, 0u);
   }
   // Not asserted per seed (a seed may legitimately produce only flips),
   // but visible in the test record: how many false ejects the tier
@@ -419,20 +412,16 @@ TEST_P(StrategyDifferentialTest, ExactIsSubsetOfConservativeAndNeverStale) {
 
 TEST_P(StrategyDifferentialTest, ExactRunIsDeterministicAcrossTheMatrix) {
   const uint64_t seed = GetParam();
-  StrategyWorld base = RunStrategyWorld(seed, /*exact=*/true, 1, 1);
+  StrategyWorld base = RunStrategyWorld(seed, /*exact=*/true, 1);
   for (size_t workers : {1u, 4u}) {
-    for (size_t shards : {1u, 4u}) {
-      StrategyWorld got = RunStrategyWorld(seed, /*exact=*/true, workers,
-                                           shards);
-      ASSERT_EQ(got.ejected.size(), base.ejected.size());
-      for (size_t c = 0; c < base.ejected.size(); ++c) {
-        EXPECT_EQ(got.ejected[c], base.ejected[c])
-            << "seed " << seed << " workers " << workers << " shards "
-            << shards << " cycle " << c;
-      }
-      EXPECT_EQ(got.final_report, base.final_report)
-          << "seed " << seed << " workers " << workers << " shards " << shards;
+    StrategyWorld got = RunStrategyWorld(seed, /*exact=*/true, workers);
+    ASSERT_EQ(got.ejected.size(), base.ejected.size());
+    for (size_t c = 0; c < base.ejected.size(); ++c) {
+      EXPECT_EQ(got.ejected[c], base.ejected[c])
+          << "seed " << seed << " workers " << workers << " cycle " << c;
     }
+    EXPECT_EQ(got.final_report, base.final_report)
+        << "seed " << seed << " workers " << workers;
   }
 }
 
@@ -444,7 +433,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StrategyDifferentialTest,
 // instances of one exact type. Candidates come from the columnar probes
 // like every compiled type's; a non-candidate's WHERE is FALSE for every
 // old and new row image, so skipping it changes no verdict. Ejects must
-// equal the re-execution oracle at every workers x shards point, and the
+// equal the re-execution oracle at every worker count, and the
 // decision counters must equal the ones the full walk (every exact
 // instance decided from row images, every cycle) produced on this world.
 // ---------------------------------------------------------------------------
@@ -464,7 +453,7 @@ struct PointRun {
 /// `oracle` off skips the re-execution (run.oracle_stale stays empty):
 /// every configuration replays the same world, so one oracle run serves
 /// them all as long as their ejects agree cycle by cycle.
-PointRun RunPointWorld(size_t workers, size_t shards, bool with_oracle) {
+PointRun RunPointWorld(size_t workers, bool with_oracle) {
   ManualClock clock;
   db::Database db(&clock);
   EXPECT_TRUE(db.CreateTable(db::TableSchema(
@@ -517,7 +506,6 @@ PointRun RunPointWorld(size_t workers, size_t shards, bool with_oracle) {
   RecordingSink sink;
   InvalidatorOptions options;
   options.worker_threads = workers;
-  options.metadata_shards = shards;
   Invalidator inv(&db, &map, &clock, options);
   inv.AddSink(&sink);
   BaselineInvalidator oracle(&db, &map);
@@ -551,40 +539,37 @@ PointRun RunPointWorld(size_t workers, size_t shards, bool with_oracle) {
 }
 
 TEST(ExactTierAtScaleTest, EjectsEqualTheOracleAndCountersEqualTheFullWalk) {
-  const PointRun serial = RunPointWorld(1, 1, /*with_oracle=*/true);
+  const PointRun serial = RunPointWorld(1, /*with_oracle=*/true);
   const std::vector<std::set<std::string>>& truth = serial.oracle_stale;
   ASSERT_EQ(truth.size(), 7u);
   for (size_t workers : {1u, 4u}) {
-    for (size_t shards : {1u, 4u}) {
-      SCOPED_TRACE(StrCat("workers ", workers, " shards ", shards));
-      PointRun run = workers == 1 && shards == 1
-                         ? serial
-                         : RunPointWorld(workers, shards, /*with_oracle=*/false);
-      ASSERT_EQ(run.ejected.size(), truth.size());
-      for (size_t c = 0; c < run.ejected.size(); ++c) {
-        EXPECT_EQ(run.ejected[c], truth[c]) << "cycle " << c;
-      }
-      EXPECT_EQ(run.ejected[0], (std::set<std::string>{"item/g450?##",
-                                                       "item/g7777?##"}));
-      EXPECT_TRUE(run.ejected[1].empty());
-      EXPECT_EQ(run.ejected[2].size(), static_cast<size_t>(kPointGroups));
-      EXPECT_TRUE(run.ejected[4].empty());
-
-      // The full walk's decision counters on this world: every live
-      // instance counts one check per cycle, skipped or not.
-      EXPECT_EQ(run.checks, std::vector<uint64_t>(7, kPointGroups));
-      EXPECT_EQ(run.stats.instance_checks, 70000u);
-      EXPECT_EQ(run.stats.unaffected, 59993u);
-      EXPECT_EQ(run.stats.affected_immediately, 10007u);
-      EXPECT_EQ(run.stats.polls_issued, 0u);
-      EXPECT_EQ(run.stats.conservative_invalidations, 0u);
-      EXPECT_EQ(run.type_checks, 70000u);
-      EXPECT_EQ(run.type_affected, 10007u);
-      // ... of which the probes decided all but the candidates without
-      // touching the instance: every cycle but the NULL and NaN ones.
-      EXPECT_EQ(run.fast_path_instances,
-                9998u + 9999u + 10000u + 9999u + 9997u);
+    SCOPED_TRACE(StrCat("workers ", workers));
+    PointRun run =
+        workers == 1 ? serial : RunPointWorld(workers, /*with_oracle=*/false);
+    ASSERT_EQ(run.ejected.size(), truth.size());
+    for (size_t c = 0; c < run.ejected.size(); ++c) {
+      EXPECT_EQ(run.ejected[c], truth[c]) << "cycle " << c;
     }
+    EXPECT_EQ(run.ejected[0], (std::set<std::string>{"item/g450?##",
+                                                     "item/g7777?##"}));
+    EXPECT_TRUE(run.ejected[1].empty());
+    EXPECT_EQ(run.ejected[2].size(), static_cast<size_t>(kPointGroups));
+    EXPECT_TRUE(run.ejected[4].empty());
+
+    // The full walk's decision counters on this world: every live
+    // instance counts one check per cycle, skipped or not.
+    EXPECT_EQ(run.checks, std::vector<uint64_t>(7, kPointGroups));
+    EXPECT_EQ(run.stats.instance_checks, 70000u);
+    EXPECT_EQ(run.stats.unaffected, 59993u);
+    EXPECT_EQ(run.stats.affected_immediately, 10007u);
+    EXPECT_EQ(run.stats.polls_issued, 0u);
+    EXPECT_EQ(run.stats.conservative_invalidations, 0u);
+    EXPECT_EQ(run.type_checks, 70000u);
+    EXPECT_EQ(run.type_affected, 10007u);
+    // ... of which the probes decided all but the candidates without
+    // touching the instance: every cycle but the NULL and NaN ones.
+    EXPECT_EQ(run.fast_path_instances,
+              9998u + 9999u + 10000u + 9999u + 9997u);
   }
 }
 
@@ -599,7 +584,7 @@ TEST(ExactTierAtScaleTest, EjectsEqualTheOracleAndCountersEqualTheFullWalk) {
 struct StageFixture {
   StageFixture()
       : db(&clock),
-        plane(&db, 2, /*exact_strategy=*/true, map.shared_ids()),
+        plane(&db, /*exact_strategy=*/true, map.shared_ids()),
         info(&db),
         scheduler(/*max_polls_per_cycle=*/0) {}
 

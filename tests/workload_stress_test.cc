@@ -14,8 +14,7 @@ namespace {
 /// interleaved request and update traffic. The invariant checked after
 /// every synchronization cycle is the system's core guarantee — every
 /// page still in the cache renders exactly what the servlet would
-/// generate right now. Each seed runs at one worker and at four, over
-/// four metadata shards.
+/// generate right now. Each seed runs at one worker and at four.
 class StressTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>> {};
 
@@ -26,7 +25,6 @@ TEST_P(StressTest, CachedPagesAreNeverStaleAfterACycle) {
   options.large_rows = 200;
   options.seed = seed;
   options.portal.invalidator.worker_threads = workers;
-  options.portal.invalidator.metadata_shards = 4;
   PaperSite site(options);
   Random rng(seed * 977 + 13);
 
